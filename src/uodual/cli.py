@@ -30,7 +30,6 @@ from .convex import (
     builtin,
     density_lattice,
     dual_representation_check,
-    fenchel_conjugate,
 )
 from .fatou import (
     ExtractionStalled,
@@ -407,16 +406,15 @@ def _suite_fenchel(seed: int) -> dict:
     ]
     grid = density_lattice(space, 1.0) + [rho.dual_witness(f) for f in probes]
     cfg = SearchConfig(seed=seed, extra_starts=0)
+    rep = dual_representation_check(rho, probes, grid, 1e-3, cfg)
     err = 0.0
-    for g in grid:
-        cv = fenchel_conjugate(rho, g, cfg)
+    for g, cv in zip(grid, rep.conjugates.reports):
         oracle = rho.known_conjugate(g)
         if math.isinf(oracle):
             if not (cv.possibly_infinite or cv.value > 1e3):
                 err = max(err, math.inf)
         else:
             err = max(err, abs(cv.value - oracle))
-    rep = dual_representation_check(rho, probes, grid, 1e-3, cfg)
     ok = err <= 1e-4 and rep.verdict == "representable-evidence"
     return _item(
         "fenchel-entropic", ok, f"oracle_err={err:.2e}, gap={rep.max_gap:.2e}", "err<=1e-4, gap<=1e-3"

@@ -10,6 +10,16 @@ that pure coordinate moves cannot leave on piecewise-linear objectives.
 An ascent that ends on the box boundary is flagged "possibly infinite"
 rather than reported as a finite supremum.
 
+The search runs in lockstep: every (dual point, start) pair of one
+``ConjugateField.compute`` call is a row of one matrix, and each scan,
+golden-section step and recentring is a single numpy call over the rows
+still moving.  Rows never interact, so each follows the path a search of
+its own point from its own start would take; ``fenchel_conjugate`` is the
+one-point case.  Functionals score a ``(rows, n)`` matrix of candidates
+through ``ConvexFunctional.rows``: the builtins do it in one call (a
+logsumexp, max or mean along an axis, AVaR by a row sort), and a
+functional given only a scalar ``evaluate`` is called once per row.
+
 The biconjugate over a finite dual grid is a lower bound for the true
 lower-semicontinuous convex hull; ``dual_representation_check`` compares
 it with rho itself and reports any probe where the gap exceeds the
@@ -19,6 +29,7 @@ tolerance.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -42,7 +53,6 @@ __all__ = [
     "density_lattice",
     "dual_representation_check",
     "fenchel_conjugate",
-    "signed_lattice",
 ]
 
 
@@ -68,6 +78,8 @@ class ConvexFunctional:
     closed-form conjugate or a maximising dual point is known they are
     attached as oracles for testing and for building adapted dual grids;
     they are never used inside the numerical conjugation itself.
+    ``evaluate_rows``, when given, maps a space and a ``(k, n)`` matrix
+    to the k values of its rows at once and must agree with ``evaluate``.
     """
 
     name: str
@@ -76,6 +88,14 @@ class ConvexFunctional:
     known_conjugate: callable | None = None
     dual_witness: callable | None = None
     cash_invariant: bool = False
+    evaluate_rows: callable | None = None
+
+    def rows(self, space: ProbabilitySpace, matrix: np.ndarray) -> np.ndarray:
+        """Values at every row of ``matrix``; one ``evaluate`` per row without a batched form."""
+        if self.evaluate_rows is not None:
+            return self.evaluate_rows(space, matrix)
+        values = [self.evaluate(RandomVariable(space, tuple(r))) for r in matrix.tolist()]
+        return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -94,60 +114,106 @@ class SearchConfig:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_RECENTRE_LEVELS = 80
 
 
-def _scan(fun, xs, best_x: float, best_v: float) -> tuple[float, float]:
-    for x in xs:
-        v = fun(x)
-        if v > best_v:
-            best_x, best_v = float(x), v
-    return best_x, best_v
+def golden_section_max(fun, a, b, iterations: int, centre=None):
+    """Vectorised golden-section search for per-row maxima of concave slices.
+
+    ``fun(idx, x)`` evaluates the rows selected by ``idx`` (an index array,
+    or a full slice) at a matrix of abscissae, one matrix row per selected
+    row.  Each row shrinks its bracket ``[a, b]`` until it is narrower than
+    1e-13 relative or ``iterations`` run out; a row that has stopped is no
+    longer evaluated.  With ``centre`` given, rows whose two first probes
+    are both -inf (indicator slices) are recentred first: the bracket
+    halves toward the centre, and the first of 80 levels with a finite
+    probe is kept (the last one if none is).  The levels have the closed
+    form ``centre + (a - centre) / 2**k``, so all are evaluated in one call.
+    Returns ``(x, value)``, the better of the two final probes of each row.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    rows = slice(None)  # every row is alive until the first one stops
+    f1, f2 = fun(rows, np.stack([x1, x2], axis=1)).T.copy()
+    if centre is not None:
+        stuck = np.flatnonzero(~(f1 > -np.inf) & ~(f2 > -np.inf))
+        if stuck.size:
+            c = centre[stuck, None]
+            halving = 0.5 ** np.arange(1, _RECENTRE_LEVELS + 1)
+            la = c + (a[stuck, None] - c) * halving
+            lb = c + (b[stuck, None] - c) * halving
+            l1 = lb - _GOLDEN * (lb - la)
+            l2 = la + _GOLDEN * (lb - la)
+            lf1, lf2 = np.split(fun(stuck, np.concatenate([l1, l2], axis=1)), 2, axis=1)
+            finite = (lf1 > -np.inf) | (lf2 > -np.inf)
+            level = np.where(finite.any(axis=1), finite.argmax(axis=1), _RECENTRE_LEVELS - 1)
+            pick = (np.arange(stuck.size), level)
+            a[stuck], b[stuck], x1[stuck], x2[stuck] = la[pick], lb[pick], l1[pick], l2[pick]
+            f1[stuck], f2[stuck] = lf1[pick], lf2[pick]
+    x_out = np.empty(a.size)
+    v_out = np.empty(a.size)
+
+    def settle(rows, x1, x2, f1, f2):
+        second = f2 > f1
+        x_out[rows] = np.where(second, x2, x1)
+        v_out[rows] = np.where(second, f2, f1)
+
+    alive = np.arange(a.size)
+    for _ in range(iterations):
+        # f1 < f2: the maximum lies right of x1, and x2 becomes the inner probe
+        right = f1 < f2
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        width = b - a
+        gap = _GOLDEN * width
+        probe = np.where(right, a + gap, b - gap)
+        fp = fun(rows, probe[:, None])[:, 0]
+        x1, x2 = np.where(right, x2, probe), np.where(right, probe, x1)
+        f1, f2 = np.where(right, f2, fp), np.where(right, fp, f1)
+        done = width < 1e-13 * (1.0 + np.abs(b))
+        if done.any():
+            settle(alive[done], x1[done], x2[done], f1[done], f2[done])
+            keep = ~done
+            alive, a, b, x1, x2, f1, f2 = (v[keep] for v in (alive, a, b, x1, x2, f1, f2))
+            rows = alive
+            if alive.size == 0:
+                break
+    settle(alive, x1, x2, f1, f2)
+    return x_out, v_out
 
 
-def _maximize_1d(fun, lo: float, hi: float, x0: float, cfg: SearchConfig) -> tuple[float, float]:
-    """Two-stage scan then golden-section refinement of a concave 1-D slice.
+def _scan(fun, xs: np.ndarray, best_x: np.ndarray, best_v: np.ndarray):
+    """Per row, move to the best scanned point (the first of equals) if it beats the current best."""
+    rows = np.arange(xs.shape[0])
+    values = fun(rows, xs)
+    j = np.argmax(values, axis=1)
+    top = values[rows, j]
+    better = top > best_v
+    return np.where(better, xs[rows, j], best_x), np.where(better, top, best_v)
+
+
+def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, cfg: SearchConfig):
+    """Two-stage scan then golden-section refinement of concave 1-D slices, per row.
 
     The scans guard against slices that are -inf on most of the box
     (indicator functionals), where golden section alone could discard the
     finite region.  The current point x0 is always a candidate, so the
     surrounding ascent never regresses.
     """
-    best_x, best_v = x0, fun(x0)
-    best_x, best_v = _scan(fun, np.linspace(lo, hi, cfg.coarse_points), best_x, best_v)
+    coarse = np.linspace(lo, hi, cfg.coarse_points, axis=1)
+    first = np.concatenate([x0[:, None], coarse], axis=1)
+    best_x, best_v = _scan(fun, first, x0, np.full(x0.size, -np.inf))
     step = (hi - lo) / (cfg.coarse_points - 1)
-    a = max(lo, best_x - step)
-    b = min(hi, best_x + step)
-    best_x, best_v = _scan(fun, np.linspace(a, b, 9), best_x, best_v)
+    a = np.maximum(lo, best_x - step)
+    b = np.minimum(hi, best_x + step)
+    best_x, best_v = _scan(fun, np.linspace(a, b, 9, axis=1), best_x, best_v)
     fine = (b - a) / 8.0
-    a = max(lo, best_x - fine)
-    b = min(hi, best_x + fine)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    # recentre toward the best finite point while both probes sit at -inf
-    for _ in range(80):
-        if f1 > -math.inf or f2 > -math.inf:
-            break
-        a = 0.5 * (a + best_x)
-        b = 0.5 * (b + best_x)
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1, f2 = fun(x1), fun(x2)
-    for _ in range(cfg.golden_iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-        if b - a < 1e-13 * (1.0 + abs(b)):
-            break
-    for x, v in ((x1, f1), (x2, f2)):
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+    a = np.maximum(lo, best_x - fine)
+    b = np.minimum(hi, best_x + fine)
+    x, v = golden_section_max(fun, a, b, cfg.golden_iters, centre=best_x)
+    better = v > best_v
+    return np.where(better, x, best_x), np.where(better, v, best_v)
 
 
 def _pair_directions(n: int) -> list[np.ndarray]:
@@ -163,55 +229,86 @@ def _pair_directions(n: int) -> list[np.ndarray]:
     return dirs
 
 
-def _ascend(objective, start: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float]:
+def _objective(score, wg: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """``<f,g> - rho(f)`` for a ``(k, m, n)`` block of probes f.
+
+    Row r of the block is paired with ``wg[r]``, the weights times its dual point g.
+    """
+    k, m, n = probes.shape
+    return np.einsum("kmn,kn->km", probes, wg) - score(probes.reshape(k * m, n)).reshape(k, m)
+
+
+def _ascend(score, wg: np.ndarray, starts: np.ndarray, cfg: SearchConfig):
+    """Coordinate ascent of ``_objective`` from every row of ``starts`` at once.
+
+    Rows run in lockstep but never interact: a row leaves the sweeps when
+    its own sweep goes stationary and leaves the rounds when its own
+    polish finds no move, as a search of that row alone would.  Returns
+    the final points and their objective values, one row per start.
+    """
     lo, hi = cfg.box
-    f = np.clip(np.asarray(start, dtype=float), lo, hi)
-    n = f.size
-    val = objective(f)
+    f = np.clip(starts, lo, hi)
+    rows, n = f.shape
+    val = _objective(score, wg, f[:, None, :])[:, 0]
 
-    # improvements must clear rounding noise, or flat objectives would
-    # drift to the box and be misread as unbounded
-    def accepted(v: float) -> bool:
-        return v > val + 1e-12 * (1.0 + abs(val))
+    def move(sub, x0, t_lo, t_hi, probe):
+        """Maximise along one line per row of ``sub``; ``probe(base, x)`` builds the points."""
+        base, w = f[sub], wg[sub]
 
-    for _ in range(3):
-        for _ in range(cfg.max_sweeps):
-            before = val
-            for i in range(n):
-                def slice_fun(x, i=i):
-                    probe = f.copy()
-                    probe[i] = x
-                    return objective(probe)
+        def fun(idx, xs):
+            return _objective(score, w[idx], probe(base[idx], xs))
 
-                x, v = _maximize_1d(slice_fun, lo, hi, float(f[i]), cfg)
-                if accepted(v):
-                    f[i] = x
-                    val = v
-            if val - before <= cfg.sweep_tol * (1.0 + abs(val)):
+        x, v = _maximize_1d(fun, t_lo, t_hi, x0, cfg)
+        # improvements must clear rounding noise, or flat objectives would
+        # drift to the box and be misread as unbounded
+        accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
+        moved = sub[accepted]
+        f[moved] = probe(base[accepted], x[accepted, None])[:, 0]
+        val[moved] = v[accepted]
+        return moved
+
+    def coordinate(i):
+        def probe(base, xs):
+            out = np.repeat(base[:, None, :], xs.shape[1], axis=1)
+            out[:, :, i] = xs
+            return out
+
+        return probe
+
+    def along(d):
+        return lambda base, ts: np.clip(base[:, None, :] + ts[:, :, None] * d, lo, hi)
+
+    active = np.arange(rows)
+    with np.errstate(invalid="ignore"):
+        for _ in range(3):
+            sweeping = active
+            for _ in range(cfg.max_sweeps):
+                if sweeping.size == 0:
+                    break
+                before = val[sweeping]
+                box_lo, box_hi = np.full(sweeping.size, lo), np.full(sweeping.size, hi)
+                for i in range(n):
+                    move(sweeping, f[sweeping, i], box_lo, box_hi, coordinate(i))
+                after = val[sweeping]
+                sweeping = sweeping[~(after - before <= cfg.sweep_tol * (1.0 + np.abs(after)))]
+            # pair/diagonal polish after the sweeps go stationary: coordinate
+            # moves alone can stall on the tie ridges of piecewise-linear
+            # objectives; a successful polish move triggers another round
+            polished = np.zeros(rows, dtype=bool)
+            for d in _pair_directions(n):
+                safe = np.where(d != 0.0, d, 1.0)
+                cur = f[active]
+                up = np.where(d > 0, (hi - cur) / safe, np.where(d < 0, (lo - cur) / safe, np.inf))
+                down = np.where(d > 0, (lo - cur) / safe, np.where(d < 0, (hi - cur) / safe, -np.inf))
+                t_hi = np.min(up, axis=1)
+                t_lo = np.max(down, axis=1)
+                open_ = t_hi > t_lo
+                if open_.any():
+                    sub = active[open_]
+                    polished[move(sub, np.zeros(sub.size), t_lo[open_], t_hi[open_], along(d))] = True
+            active = active[polished[active]]
+            if active.size == 0:
                 break
-        # pair/diagonal polish after the sweeps go stationary: coordinate
-        # moves alone can stall on the tie ridges of piecewise-linear
-        # objectives; a successful polish move triggers another round
-        polished = False
-        for d in _pair_directions(n):
-            safe = np.where(d != 0.0, d, 1.0)
-            up = np.where(d > 0, (hi - f) / safe, np.where(d < 0, (lo - f) / safe, np.inf))
-            down = np.where(d > 0, (lo - f) / safe, np.where(d < 0, (hi - f) / safe, -np.inf))
-            t_hi = float(np.min(up))
-            t_lo = float(np.max(down))
-            if t_hi <= t_lo:
-                continue
-
-            def line_fun(t, d=d):
-                return objective(np.clip(f + t * d, lo, hi))
-
-            t, v = _maximize_1d(line_fun, t_lo, t_hi, 0.0, cfg)
-            if accepted(v):
-                f = np.clip(f + t * d, lo, hi)
-                val = v
-                polished = True
-        if not polished:
-            break
     return f, val
 
 
@@ -233,6 +330,83 @@ class ConjugateValue:
         }
 
 
+# search rows of one lockstep ascent: bounds the scan and recentring
+# matrices, whose size grows with the dual grid
+_BATCH_ROWS = 1024
+
+
+def _conjugates(
+    rho: ConvexFunctional, space: ProbabilitySpace, duals: np.ndarray, cfg: SearchConfig
+) -> list[ConjugateValue]:
+    """Conjugates at every row of ``duals``, in grid order, by lockstep batches of points."""
+    step = max(1, _BATCH_ROWS // (3 + cfg.extra_starts))
+    return [cv for i in range(0, len(duals), step) for cv in _lockstep(rho, space, duals[i : i + step], cfg)]
+
+
+def _lockstep(
+    rho: ConvexFunctional, space: ProbabilitySpace, duals: np.ndarray, cfg: SearchConfig
+) -> list[ConjugateValue]:
+    """Conjugates at every row of ``duals``, searched together in lockstep.
+
+    Every dual point starts from the origin, the properness witness, the
+    (clipped) point itself and seeded random points, the same for every
+    point; duplicate starts of a point are searched once.  One ascent runs
+    over all (point, start) rows.  If a point's best maximiser sits on the
+    box boundary its supremum may be infinite and it is flagged; otherwise
+    disagreeing restarts raise SearchDiverged for the first such point.
+    """
+    lo, hi = cfg.box
+    n = space.size
+    rng = np.random.default_rng(cfg.seed)
+    extra = [rng.uniform(lo / 8.0, hi / 8.0, n) for _ in range(cfg.extra_starts)]
+    witness = np.asarray(rho.witness(space).values, dtype=float)
+    owner, starts = [], []
+    for p, g in enumerate(duals):
+        seen: set[tuple[float, ...]] = set()
+        for start in [np.zeros(n), witness, np.clip(g, lo, hi), *extra]:
+            key = tuple(np.round(start, 12).tolist())
+            if key not in seen:
+                seen.add(key)
+                owner.append(p)
+                starts.append(start)
+    wg = duals * space.weight_array
+
+    def score(matrix):
+        return rho.rows(space, matrix)
+
+    f, val = _ascend(score, wg[owner], np.array(starts), cfg)
+    bounds = np.searchsorted(owner, np.arange(len(duals) + 1))
+    best = np.array([s + int(np.argmax(val[s:e])) for s, e in zip(bounds[:-1], bounds[1:])])
+    best_f, best_v = f[best], val[best]
+
+    # a maximiser on the box edge means "possibly infinite" only when the
+    # objective is still climbing there; an optimum that merely sits at the
+    # edge (e.g. a log pushed toward -inf with zero weight) stays finite
+    margin = cfg.boundary_margin * (hi - lo)
+    step = (hi - lo) / 256.0
+    at_lo = best_f <= lo + margin
+    edge_p, edge_i = np.nonzero(at_lo | (best_f >= hi - margin))
+    on_boundary = np.zeros(len(duals), dtype=bool)
+    if edge_p.size:
+        inner = best_f[edge_p]
+        inner[np.arange(edge_p.size), edge_i] += np.where(at_lo[edge_p, edge_i], step, -step)
+        with np.errstate(invalid="ignore"):
+            drop = best_v[edge_p] - _objective(score, wg[edge_p], inner[:, None, :])[:, 0]
+        on_boundary[edge_p[drop > 1e-7 * (1.0 + np.abs(best_v[edge_p]))]] = True
+
+    out = []
+    for p, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        values = val[s:e].tolist()
+        v = float(best_v[p])
+        finite = [x for x in values if x > -math.inf]
+        if not on_boundary[p] and finite and max(finite) - min(finite) > cfg.value_tol * (1.0 + abs(v)):
+            raise SearchDiverged(
+                f"restarts for {rho.name!r} disagree: {sorted(finite)} with no boundary escape"
+            )
+        out.append(ConjugateValue(v, bool(on_boundary[p]), tuple(best_f[p].tolist()), tuple(values)))
+    return out
+
+
 def fenchel_conjugate(
     rho: ConvexFunctional,
     g: RandomVariable,
@@ -240,61 +414,12 @@ def fenchel_conjugate(
 ) -> ConjugateValue:
     """Estimate ``sup_f ( <f,g> - rho(f) )`` over the search box.
 
-    Starts from the origin, the properness witness, the (clipped) dual
-    point itself, and seeded random points.  If the best maximiser sits on
-    the box boundary the supremum may be infinite and the result is
-    flagged; otherwise disagreeing restarts raise SearchDiverged.
+    A one-point call into the lockstep engine behind
+    ``ConjugateField.compute``: the same starts, the "possibly infinite"
+    flag when the maximiser is still climbing at the box boundary, and
+    SearchDiverged when restarts disagree without such an escape.
     """
-    cfg = config or SearchConfig()
-    space = g.space
-    weights = space.weight_array
-    wg = weights * g.array
-
-    def objective(f_vals: np.ndarray) -> float:
-        rv = RandomVariable(space, tuple(f_vals.tolist()))
-        r = rho.evaluate(rv)
-        if r == math.inf:
-            return -math.inf
-        return float(np.dot(wg, f_vals)) - r
-
-    lo, hi = cfg.box
-    starts = [np.zeros(space.size), np.asarray(rho.witness(space).values), np.clip(g.array, lo, hi)]
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.extra_starts):
-        starts.append(rng.uniform(lo / 8.0, hi / 8.0, space.size))
-    seen: set[tuple[float, ...]] = set()
-    results = []
-    for start in starts:
-        key = tuple(np.round(start, 12).tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(_ascend(objective, start, cfg))
-    values = [v for _, v in results]
-    best_f, best_v = max(results, key=lambda fv: fv[1])
-
-    # a maximiser on the box edge means "possibly infinite" only when the
-    # objective is still climbing there; an optimum that merely sits at the
-    # edge (e.g. a log pushed toward -inf with zero weight) stays finite
-    margin = cfg.boundary_margin * (hi - lo)
-    step = (hi - lo) / 256.0
-    on_boundary = False
-    for i in range(best_f.size):
-        at_lo = best_f[i] <= lo + margin
-        at_hi = best_f[i] >= hi - margin
-        if not (at_lo or at_hi):
-            continue
-        inner = best_f.copy()
-        inner[i] += step if at_lo else -step
-        if best_v - objective(inner) > 1e-7 * (1.0 + abs(best_v)):
-            on_boundary = True
-            break
-    finite = [v for v in values if v > -math.inf]
-    if not on_boundary and finite and max(finite) - min(finite) > cfg.value_tol * (1.0 + abs(best_v)):
-        raise SearchDiverged(
-            f"restarts for {rho.name!r} disagree: {sorted(finite)} with no boundary escape"
-        )
-    return ConjugateValue(best_v, on_boundary, tuple(best_f.tolist()), tuple(values))
+    return _conjugates(rho, g.space, g.array[None, :], config or SearchConfig())[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,23 +451,10 @@ class ConjugateField:
         if any(p.space != space for p in points):
             raise ValueError("dual points must share one space")
         matrix = np.array([p.values for p in points], dtype=float)
-        values = np.empty(len(points))
-        flags = np.zeros(len(points), dtype=bool)
-        reports = []
-        for i, p in enumerate(points):
-            cv = fenchel_conjugate(rho, p, config)
-            flags[i] = cv.possibly_infinite
-            values[i] = math.inf if cv.possibly_infinite else cv.value
-            reports.append(cv)
+        reports = _conjugates(rho, space, matrix, config or SearchConfig())
+        flags = np.array([cv.possibly_infinite for cv in reports], dtype=bool)
+        values = np.array([math.inf if cv.possibly_infinite else cv.value for cv in reports])
         return cls(space, matrix, values, flags, tuple(reports))
-
-    @classmethod
-    def from_values(cls, space: ProbabilitySpace, dual_matrix: np.ndarray, values: np.ndarray) -> ConjugateField:
-        matrix = np.asarray(dual_matrix, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != vals.size or matrix.shape[1] != space.size:
-            raise ValueError("dual matrix and values have mismatched shapes")
-        return cls(space, matrix, vals, np.isinf(vals))
 
     def dual_point(self, i: int) -> RandomVariable:
         return RandomVariable.from_values(self.space, self.dual_matrix[i])
@@ -377,7 +489,10 @@ def biconjugate(field: ConjugateField, f: RandomVariable) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DualRepReport:
-    """Per-probe gaps rho(f) - rho**(f) and the graded verdict."""
+    """Per-probe gaps rho(f) - rho**(f) and the graded verdict.
+
+    ``conjugates`` is the field the check built; it is not serialised.
+    """
 
     gaps: tuple[float, ...]
     rho_values: tuple[float, ...]
@@ -385,6 +500,7 @@ class DualRepReport:
     verdict: str  # "representable-evidence" | "gap-found"
     witness: int | None
     tol: float
+    conjugates: ConjugateField | None = dataclasses.field(default=None, repr=False)
 
     @property
     def max_gap(self) -> float:
@@ -416,14 +532,14 @@ def dual_representation_check(
     where rho is declared infinite but the hull is finite) is a witness
     that rho is not represented by the dual grid at this resolution.
     """
-    field = ConjugateField.compute(rho, dual_points, config)
+    conjugates = ConjugateField.compute(rho, dual_points, config)
     gaps = []
     rho_vals = []
     bi_vals = []
     witness = None
     for i, f in enumerate(probes):
         r = rho.evaluate(f)
-        b = biconjugate(field, f)
+        b = biconjugate(conjugates, f)
         gap = r - b
         gaps.append(gap)
         rho_vals.append(r)
@@ -431,7 +547,7 @@ def dual_representation_check(
         if witness is None and gap > tol:
             witness = i
     verdict = "representable-evidence" if witness is None else "gap-found"
-    return DualRepReport(tuple(gaps), tuple(rho_vals), tuple(bi_vals), verdict, witness, tol)
+    return DualRepReport(tuple(gaps), tuple(rho_vals), tuple(bi_vals), verdict, witness, tol, conjugates)
 
 
 # -- dual grids ---------------------------------------------------------------
@@ -466,47 +582,27 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
     return out
 
 
-def signed_lattice(space: ProbabilitySpace, step: float, bound: float) -> np.ndarray:
-    """Full product lattice of values in [-bound, bound]; returns a matrix."""
-    axis = np.arange(-bound, bound + step / 2.0, step)
-    grids = np.meshgrid(*([axis] * space.size), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 # -- builtin functionals ------------------------------------------------------
 
 
-def _weighted_logsumexp(x: np.ndarray, w: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + math.log(float(np.dot(w, np.exp(x - m))))
+def _pointwise(evaluate_rows):
+    """The scalar evaluate of a batched one: its value on a one-row matrix."""
+    return lambda f: float(evaluate_rows(f.space, f.array[None, :])[0])
 
 
-def _avar_value(values: np.ndarray, weights: np.ndarray, alpha: float) -> float:
-    order = np.argsort(-values, kind="stable")
-    remaining = alpha
-    acc = 0.0
-    for i in order:
-        take = min(float(weights[i]), remaining)
-        acc += take * float(values[i])
-        remaining -= take
-        if remaining <= 1e-15:
-            break
-    return acc / alpha
+def _avar_taken(matrix: np.ndarray, weights: np.ndarray, alpha: float):
+    """Per row, the cells sorted worst first and the mass alpha takes from each."""
+    order = np.argsort(-matrix, axis=1, kind="stable")
+    w = weights[order]
+    return order, np.minimum(w, np.maximum(alpha - (np.cumsum(w, axis=1) - w), 0.0))
 
 
 def _avar_tail_density(f: RandomVariable, alpha: float) -> RandomVariable:
     """The maximising density: mass 1/alpha on the worst-outcome cells."""
-    values = f.array
     weights = f.space.weight_array
-    order = np.argsort(-values, kind="stable")
-    g = np.zeros_like(values)
-    remaining = alpha
-    for i in order:
-        take = min(float(weights[i]), remaining)
-        g[i] = take / (alpha * float(weights[i]))
-        remaining -= take
-        if remaining <= 1e-15:
-            break
+    (order,), (taken,) = _avar_taken(f.array[None, :], weights, alpha)
+    g = np.zeros(f.space.size)
+    g[order] = taken / (alpha * weights[order])
     return RandomVariable.from_values(f.space, g)
 
 
@@ -518,6 +614,7 @@ def _expectation() -> ConvexFunctional:
     return ConvexFunctional(
         name="expectation",
         evaluate=integrate,
+        evaluate_rows=lambda space, m: m @ space.weight_array,
         known_conjugate=lambda g: 0.0 if float(np.max(np.abs(g.array - 1.0))) <= 1e-9 else math.inf,
         dual_witness=lambda f: RandomVariable.ones(f.space),
         cash_invariant=True,
@@ -528,6 +625,7 @@ def _neg_expectation() -> ConvexFunctional:
     return ConvexFunctional(
         name="neg-expectation",
         evaluate=lambda f: -integrate(f),
+        evaluate_rows=lambda space, m: -(m @ space.weight_array),
         known_conjugate=lambda g: 0.0 if float(np.max(np.abs(g.array + 1.0))) <= 1e-9 else math.inf,
         dual_witness=lambda f: RandomVariable.constant(f.space, -1.0),
     )
@@ -537,8 +635,10 @@ def _entropic(beta: float) -> ConvexFunctional:
     if beta <= 0:
         raise ValueError("beta must be > 0")
 
-    def evaluate(f: RandomVariable) -> float:
-        return _weighted_logsumexp(beta * f.array, f.space.weight_array) / beta
+    def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
+        x = beta * m
+        top = np.max(x, axis=1)
+        return (top + np.log(np.exp(x - top[:, None]) @ space.weight_array)) / beta
 
     def known_conjugate(g: RandomVariable) -> float:
         if not _is_density(g):
@@ -556,7 +656,8 @@ def _entropic(beta: float) -> ConvexFunctional:
 
     return ConvexFunctional(
         name=f"entropic(beta={beta:g})",
-        evaluate=evaluate,
+        evaluate=_pointwise(evaluate_rows),
+        evaluate_rows=evaluate_rows,
         known_conjugate=known_conjugate,
         dual_witness=dual_witness,
         cash_invariant=True,
@@ -567,8 +668,9 @@ def _avar(alpha: float) -> ConvexFunctional:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
 
-    def evaluate(f: RandomVariable) -> float:
-        return _avar_value(f.array, f.space.weight_array, alpha)
+    def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
+        order, taken = _avar_taken(m, space.weight_array, alpha)
+        return np.einsum("ij,ij->i", taken, m[np.arange(m.shape[0])[:, None], order]) / alpha
 
     def known_conjugate(g: RandomVariable) -> float:
         ok = _is_density(g) and bool(np.all(g.array <= 1.0 / alpha + 1e-9))
@@ -576,7 +678,8 @@ def _avar(alpha: float) -> ConvexFunctional:
 
     return ConvexFunctional(
         name=f"avar(alpha={alpha:g})",
-        evaluate=evaluate,
+        evaluate=_pointwise(evaluate_rows),
+        evaluate_rows=evaluate_rows,
         known_conjugate=known_conjugate,
         dual_witness=lambda f: _avar_tail_density(f, alpha),
         cash_invariant=True,
@@ -584,6 +687,9 @@ def _avar(alpha: float) -> ConvexFunctional:
 
 
 def _worst_case() -> ConvexFunctional:
+    def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
+        return np.max(m, axis=1)
+
     def dual_witness(f: RandomVariable) -> RandomVariable:
         i = int(np.argmax(f.array))
         g = np.zeros(f.space.size)
@@ -592,7 +698,8 @@ def _worst_case() -> ConvexFunctional:
 
     return ConvexFunctional(
         name="worst-case",
-        evaluate=lambda f: float(np.max(f.array)),
+        evaluate=_pointwise(evaluate_rows),
+        evaluate_rows=evaluate_rows,
         known_conjugate=lambda g: 0.0 if _is_density(g) else math.inf,
         dual_witness=dual_witness,
         cash_invariant=True,
@@ -603,10 +710,10 @@ def _supnorm_ball(radius: float, open_ball: bool) -> ConvexFunctional:
     if radius <= 0:
         raise ValueError("radius must be > 0")
 
-    def evaluate(f: RandomVariable) -> float:
-        peak = float(np.max(np.abs(f.array)))
+    def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
+        peak = np.max(np.abs(m), axis=1)
         inside = peak < radius if open_ball else peak <= radius
-        return 0.0 if inside else math.inf
+        return np.where(inside, 0.0, math.inf)
 
     def known_conjugate(g: RandomVariable) -> float:
         # support function of the (closed) ball; the open ball has the same conjugate
@@ -614,7 +721,8 @@ def _supnorm_ball(radius: float, open_ball: bool) -> ConvexFunctional:
 
     return ConvexFunctional(
         name=("open-ball" if open_ball else "supnorm-ball") + f"(radius={radius:g})",
-        evaluate=evaluate,
+        evaluate=_pointwise(evaluate_rows),
+        evaluate_rows=evaluate_rows,
         known_conjugate=known_conjugate,
         dual_witness=lambda f: RandomVariable.zero(f.space),
     )

@@ -35,6 +35,7 @@ __all__ = [
     "OrderNullVerdict",
     "SpaceModel",
     "Tail",
+    "TailTooClose",
     "TailVector",
     "UoDualVerdict",
     "UoNullVerdict",
@@ -54,6 +55,25 @@ __all__ = [
 
 class FunctionalNotBounded(ValueError):
     """The coordinatewise pairing diverges on unit-ball probes."""
+
+
+class TailTooClose(ValueError):
+    """Settling a tail's sign or supremum needs more than ``_MAX_OFFSET`` offsets.
+
+    Geometric ratios that nearly coincide, or a ratio very close to 1,
+    push that offset past any prefix worth building explicitly.
+    """
+
+
+# the largest tail offset an operation may expand into explicit coordinates
+_MAX_OFFSET = 100_000
+
+
+def _bounded_offset(j: float) -> int:
+    """The offset ceil(j), at least 0; TailTooClose past the cap."""
+    if j > _MAX_OFFSET:
+        raise TailTooClose(f"tail needs offset {j:.3g} > {_MAX_OFFSET} to settle")
+    return max(0, math.ceil(j))
 
 
 def _sign(x: float) -> int:
@@ -174,9 +194,9 @@ def eventual_sign(tail: Tail) -> tuple[int, int]:
         rmax = max(r for _, r in tail.terms)
         J = 0
         if total > c / 2.0:
-            J = max(0, math.ceil(math.log((c / 2.0) / total) / math.log(rmax)))
+            J = _bounded_offset(math.log((c / 2.0) / total) / math.log(rmax))
         while math.fsum(abs(a) * r**J for a, r in tail.terms) > c / 2.0:
-            J += 1
+            J = _bounded_offset(J + 1)
         return J, _sign(tail.const)
     a0, r0 = tail.terms[0]
     rest = tail.terms[1:]
@@ -186,12 +206,13 @@ def eventual_sign(tail: Tail) -> tuple[int, int]:
     r1 = max(r for _, r in rest)
     J = 0
     if 2.0 * total > abs(a0):
-        J = max(0, math.ceil(math.log(abs(a0) / (2.0 * total)) / math.log(r1 / r0)))
+        decay = math.log(r1 / r0)  # 0 only when the ratios are neighbouring floats
+        J = _bounded_offset(math.log(abs(a0) / (2.0 * total)) / decay if decay else math.inf)
     while True:
         lead = abs(a0) * r0**J
         if lead > 2.0 * math.fsum(abs(a) * r**J for a, r in rest) or lead < 1e-300:
             break
-        J += 1
+        J = _bounded_offset(J + 1)
     return J, _sign(a0)
 
 
@@ -230,6 +251,7 @@ def _tail_abs_sup(tail: Tail) -> float:
         if envelope <= best or envelope - limit <= 1e-15 * max(1.0, limit):
             break
         j += 1
+        _bounded_offset(j - J)
     return max(best, limit)
 
 

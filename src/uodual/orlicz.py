@@ -2,11 +2,12 @@
 
 An Orlicz function is convex, nondecreasing, vanishes at 0 and is not
 identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
-is computed on a truncated s-range by a grid sweep refined with ternary
-search (the objective is concave in s, so the refinement is exact up to
-bracket width).  The Luxemburg norm ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }``
-is bracketed by doubling/halving and then bisected; the upper bracket
-endpoint is returned, a conservative over-estimate of the infimum.
+is computed on a truncated s-range by a grid sweep refined by
+golden-section search (the objective is concave in s, so the refinement
+is exact up to bracket width).  The Luxemburg norm
+``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
+doubling/halving and then bisected; the upper bracket endpoint is
+returned, a conservative over-estimate of the infimum.
 
 Growth diagnostics (superlinearity, the doubling ratio phi(2t)/phi(t)) are
 evidence-graded heuristics: limits are not finitely decidable.
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convex import golden_section_max
 from .measure import RandomVariable
 
 __all__ = [
@@ -195,30 +197,6 @@ class LuxemburgResult:
     modular_at_value: float
 
 
-def _ternary_max(objective, lo: np.ndarray, hi: np.ndarray, iterations: int = 80):
-    """Vectorised ternary search for per-row maxima of concave objectives.
-
-    ``objective`` maps an array of s-values to an array of objective values
-    (one independent concave problem per entry).  Returns the refined
-    maximal values.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(iterations):
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        f1 = objective(m1)
-        f2 = objective(m2)
-        move_lo = f1 < f2
-        lo = np.where(move_lo, m1, lo)
-        hi = np.where(move_lo, hi, m2)
-        if np.max(hi - lo) < 1e-13 * (1.0 + np.max(np.abs(hi))):
-            break
-    mid = 0.5 * (lo + hi)
-    return np.maximum.reduce([objective(lo), objective(mid), objective(hi)])
-
-
 def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int) -> np.ndarray:
     s_grid = np.linspace(0.0, s_max, grid_size + 1)
     phi_s = np.asarray(phi(s_grid))
@@ -233,12 +211,13 @@ def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, gri
     lo = s_grid[np.maximum(arg - 1, 0)]
     hi = s_grid[np.minimum(arg + 1, grid_size)]
 
-    def objective(s_vals: np.ndarray) -> np.ndarray:
-        return t_grid * s_vals - np.asarray(phi(s_vals))
+    def objective(rows, s_vals: np.ndarray) -> np.ndarray:
+        return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
 
-    # the refinement never falls below the sweep itself (ternary assumes
-    # concavity, which holds for valid phi but is not enforced here)
-    values = np.maximum(_ternary_max(objective, lo, hi), grid_best)
+    # the refinement never falls below the sweep itself (golden section
+    # assumes concavity, which holds for valid phi but is not enforced here)
+    _, refined = golden_section_max(objective, lo, hi, 80)
+    values = np.maximum(refined, grid_best)
     values = np.maximum(values, 0.0)
     values[0] = 0.0  # sup_s(-phi(s)) is attained at s = 0
     return values
@@ -255,9 +234,9 @@ def conjugate(
     The supremum over all s >= 0 is truncated at ``s_max``; the returned
     sampled function is therefore trusted only for t up to roughly the
     slope of phi at ``s_max`` (recorded as its domain cap).  Values are
-    grid maxima refined by ternary search, recomputed on a doubled grid;
-    if the refinement moves any value by more than ``tol`` the sweep is
-    unstable and GridTooCoarse is raised.
+    grid maxima refined by golden-section search, recomputed on a doubled
+    grid; if the refinement moves any value by more than ``tol`` the sweep
+    is unstable and GridTooCoarse is raised.
     """
     if s_max <= 0:
         raise ValueError("s_max must be > 0")

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from uodual import convex
 from uodual.convex import (
     ConjugateField,
     ConvexFunctional,
@@ -16,7 +18,6 @@ from uodual.convex import (
     density_lattice,
     dual_representation_check,
     fenchel_conjugate,
-    signed_lattice,
 )
 from uodual.measure import ProbabilitySpace, RandomVariable, integrate, pairing
 
@@ -26,6 +27,58 @@ SP1 = ProbabilitySpace.dyadic(0)
 
 def rv(values, space=SP4):
     return RandomVariable.from_values(space, values)
+
+
+ZOO = [
+    ("expectation", {}),
+    ("neg-expectation", {}),
+    ("entropic", {"beta": 0.5}),
+    ("entropic", {"beta": 2.0}),
+    ("avar", {"alpha": 0.3}),
+    ("avar", {"alpha": 1.0}),
+    ("worst-case", {}),
+    ("supnorm-ball", {"radius": 1.0}),
+    ("open-ball", {"radius": 1.0}),
+]
+SPACES = [SP1, ProbabilitySpace.dyadic(1), SP4, ProbabilitySpace.weighted(("a", "b", "c"), (0.5, 0.3, 0.2))]
+
+
+def reference_value(name, params, f):
+    """Independent oracle: the zoo by textbook formulas, one variable at a time."""
+    w, x = f.space.weights, f.values
+    if name in ("expectation", "neg-expectation"):
+        mean = math.fsum(a * b for a, b in zip(w, x))
+        return mean if name == "expectation" else -mean
+    if name == "entropic":
+        beta = params["beta"]
+        top = max(x)
+        return top + math.log(math.fsum(a * math.exp(beta * (b - top)) for a, b in zip(w, x))) / beta
+    if name == "avar":
+        remaining, acc = params["alpha"], 0.0
+        for b, a in sorted(zip(x, w), key=lambda ba: -ba[0]):
+            take = min(a, remaining)
+            acc += take * b
+            remaining -= take
+        return acc / params["alpha"]
+    if name == "worst-case":
+        return max(x)
+    peak = max(abs(b) for b in x)
+    inside = peak < params["radius"] if name == "open-ball" else peak <= params["radius"]
+    return 0.0 if inside else math.inf
+
+
+@st.composite
+def zoo_batches(draw):
+    """A zoo member, a space and a batch of rows with ties and ball-boundary values."""
+    name, params = draw(st.sampled_from(ZOO))
+    space = draw(st.sampled_from(SPACES))
+    # quarter-steps tie often and hit the unit ball's edge exactly
+    cell = st.one_of(
+        st.integers(min_value=-12, max_value=12).map(lambda k: k / 4.0),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=space.size, max_size=space.size), min_size=1, max_size=6))
+    return name, params, space, np.array(rows, dtype=float)
 
 
 def dense_grid_conjugate(rho, g, bound=6.0, step=0.25):
@@ -147,9 +200,10 @@ class TestBiconjugate:
 
     def test_quadratic_grid_resolution_bound(self):
         rho = ConvexFunctional("quadratic", evaluate=lambda f: 0.5 * pairing(f, f))
-        matrix = signed_lattice(SP4, 0.25, 4.0)
+        axis = np.arange(-4.0, 4.0 + 0.125, 0.25)
+        matrix = np.stack([a.ravel() for a in np.meshgrid(*([axis] * 4), indexing="ij")], axis=1)
         values = 0.5 * (matrix**2 @ SP4.weight_array)
-        field = ConjugateField.from_values(SP4, matrix, values)
+        field = ConjugateField(SP4, matrix, values, np.isinf(values))
         rng = np.random.default_rng(4)
         for _ in range(10):
             f = rv(rng.uniform(-3.5, 3.5, 4))
@@ -212,6 +266,95 @@ class TestDualRepresentation:
         assert rep.witness == 1
         assert rep.gaps[0] <= 1e-3
         assert math.isinf(rep.gaps[1])
+        assert len(rep.conjugates) == len(grid) and "conjugates" not in rep.to_dict()
+
+
+class TestBatchedEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(zoo_batches())
+    @example(("worst-case", {}, SP4, np.array([[1.0, 1.0, 1.0, -2.0], [0.5, 0.5, 0.5, 0.5]])))
+    @example(("avar", {"alpha": 0.5}, SP4, np.array([[1.0, 1.0, 1.0, -2.0]] * 3)))
+    @example(("supnorm-ball", {"radius": 1.0}, SP4, np.array([[1.0, -1.0, 0.0, 0.5], [1.5, 0.0, 0.0, 0.0]])))
+    def test_rows_match_scalar_evaluate(self, batch):
+        name, params, space, matrix = batch
+        rho = builtin(name, **params)
+        batched = rho.rows(space, matrix)
+        assert batched.shape == (matrix.shape[0],)
+        for row, value in zip(matrix, batched):
+            f = RandomVariable.from_values(space, row)
+            scalar = rho.evaluate(f)
+            ref = reference_value(name, params, f)
+            for got in (value, scalar):
+                if math.isinf(ref):
+                    assert got == ref, (name, row)
+                else:
+                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (name, row)
+
+    def test_scalar_only_functional_uses_adapter(self):
+        calls = []
+
+        def evaluate(f):
+            calls.append(f.values)
+            return 0.5 * pairing(f, f)
+
+        rho = ConvexFunctional("quadratic", evaluate=evaluate)
+        matrix = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 0.5, 0.5, 0.5]])
+        assert rho.rows(SP4, matrix).tolist() == [0.75, 0.125]
+        assert calls == [tuple(matrix[0]), tuple(matrix[1])]
+
+
+class TestLockstepEngine:
+    MIXED = [
+        rv([1.0] * 4),
+        rv([4.0, 0.0, 0.0, 0.0]),
+        rv([2.0, 1.0, 0.5, 0.5]),
+        rv([1.1] * 4),
+        rv([2.0, 2.0, 0.5, -0.5]),
+        rv([0.0, 0.0, 2.0, 2.0]),
+    ]
+
+    def assert_field_matches_points(self, rho, grid, cfg):
+        field = ConjugateField.compute(rho, grid, cfg)
+        for i, g in enumerate(grid):
+            cv = fenchel_conjugate(rho, g, cfg)
+            assert field.boundary_flags[i] == cv.possibly_infinite, i
+            assert field.reports[i].value == pytest.approx(cv.value, rel=1e-9, abs=1e-9), i
+            assert field.reports[i].start_values == pytest.approx(cv.start_values, rel=1e-9, abs=1e-9), i
+        return field
+
+    def test_builtin_field_matches_single_points(self):
+        rho = builtin("entropic", beta=1.0)
+        field = self.assert_field_matches_points(rho, self.MIXED, SearchConfig())
+        assert field.boundary_flags.tolist() == [False, False, False, True, True, False]
+
+    def test_scalar_only_field_matches_single_points(self):
+        entropic = builtin("entropic", beta=1.0)
+        rho = ConvexFunctional("entropic-scalar", evaluate=entropic.evaluate)
+        field = self.assert_field_matches_points(rho, self.MIXED[:4], SearchConfig(extra_starts=0))
+        for i, g in enumerate(self.MIXED[:4]):
+            oracle = entropic.known_conjugate(g)
+            if math.isinf(oracle):
+                assert field.boundary_flags[i]
+            else:
+                assert field.values[i] == pytest.approx(oracle, abs=1e-5)
+
+    def test_batches_split_the_grid_without_changing_it(self, monkeypatch):
+        rho = builtin("avar", alpha=0.5)
+        whole = ConjugateField.compute(rho, self.MIXED)
+        monkeypatch.setattr(convex, "_BATCH_ROWS", 8)  # two points per lockstep batch
+        split = ConjugateField.compute(rho, self.MIXED)
+        assert split.boundary_flags.tolist() == whole.boundary_flags.tolist()
+        for a, b in zip(split.reports, whole.reports):
+            assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9)
+
+    def test_supnorm_balls_match_support_function(self):
+        grid = [rv([1.0, -2.0, 0.5, 0.0]), rv([-3.0, -1.0, 2.5, 4.0]), RandomVariable.zero(SP4)]
+        for name in ("supnorm-ball", "open-ball"):
+            rho = builtin(name, radius=2.0)
+            field = ConjugateField.compute(rho, grid)
+            assert not np.any(field.boundary_flags), name
+            for i, g in enumerate(grid):
+                assert field.values[i] == pytest.approx(rho.known_conjugate(g), abs=1e-4), (name, i)
 
 
 class TestBuiltins:
@@ -338,8 +481,3 @@ class TestLattices:
     def test_density_lattice_step_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
             density_lattice(SP4, 0.3)
-
-    def test_signed_lattice_shape(self):
-        m = signed_lattice(ProbabilitySpace.dyadic(1), 1.0, 2.0)
-        assert m.shape == (25, 2)
-        assert float(np.max(m)) == 2.0 and float(np.min(m)) == -2.0

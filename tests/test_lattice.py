@@ -9,6 +9,7 @@ from uodual.lattice import (
     FunctionalNotBounded,
     SpaceModel,
     Tail,
+    TailTooClose,
     TailVector,
     VectorSequence,
     eventual_sign,
@@ -125,6 +126,23 @@ class TestEventualSign:
         for k in list(range(1, 50)) + [500, 1000, 2000]:
             expected = min(x.value(k), y.value(k))
             assert m.value(k) == pytest.approx(expected, rel=1e-12), k
+
+
+    def test_near_coincident_ratios_raise_instead_of_expanding(self):
+        # the sign settles only after ~6.9e14 offsets: abs() used to ask for
+        # petabytes and the l1 norm used to loop without end
+        x = TailVector.make((), Tail.make(0.0, ((1.0, 0.1), (-1.0, 0.1 + 1e-16))))
+        with pytest.raises(TailTooClose):
+            eventual_sign(x.tail)
+        with pytest.raises(TailTooClose):
+            abs(x)
+        with pytest.raises(TailTooClose):
+            model_norm(x, SpaceModel.ELL1)
+
+    def test_ratio_next_to_one_raises(self):
+        tail = Tail.make(1.0, ((-4.0, math.nextafter(1.0, 0.0)),))
+        with pytest.raises(TailTooClose):
+            eventual_sign(tail)
 
 
 class TestModelNorm:
