@@ -557,9 +557,12 @@ def is_order_null(s: VectorSequence, m: SpaceModel, tol: float) -> OrderNullVerd
     """Order convergence to 0: coordinatewise null plus an order-bounded tail.
 
     The dominating element is the lattice supremum of |x_n| over the tail
-    half of the horizon, computed exactly.  It must stabilise (adding the
+    half of the horizon, computed exactly.  It must belong to the model
+    with a finite norm.  In l1 and c0 it must also stabilise (adding the
     last window of elements does not change it, so it is not escaping to
-    ever-larger support) and belong to the model.
+    ever-larger support).  l-infinity is Dedekind complete, so there
+    order-bounded means norm-bounded, which the finite norm of the
+    supremum already shows: marching unit vectors are order-null there.
     """
     uo = is_uo_null(s, m, tol)
     h = s.horizon
@@ -573,7 +576,7 @@ def is_order_null(s: VectorSequence, m: SpaceModel, tol: float) -> OrderNullVerd
         sup_full = sup_full.join(abs(s.element(n)))
     stabilized = sup_partial == sup_full
     member = membership(sup_full, m) and model_norm(sup_full, m) < math.inf
-    ok = uo.is_null and stabilized and member
+    ok = uo.is_null and member and (stabilized or m is SpaceModel.ELL_INFTY)
     return OrderNullVerdict(
         "order-null-evidence" if ok else "not-order-null",
         uo,
@@ -593,15 +596,48 @@ class DisjointVerdict:
 
 
 def is_disjoint(s: VectorSequence) -> DisjointVerdict:
-    """Exact pairwise check that |x_n| ^ |x_m| = 0 for all n < m."""
+    """Exact check that |x_n| ^ |x_m| = 0 for all n < m, by a sweep over supports.
+
+    The support of |x| is the set of prefix coordinates where it is
+    nonzero, plus, when its tail is nonzero, the coordinates k from
+    T = len(prefix) + 1 on where ``|x|.value(k) != 0``.  ``abs`` settles
+    the tail's sign before T, so such a tail is >= 0 and eventually
+    positive; only the few coordinates that canonicalisation folded back
+    into it can be 0.  Two elements therefore overlap iff their prefix
+    supports share a coordinate, or both tails are nonzero, or one
+    element's prefix support reaches a coordinate k >= T where the
+    other's tail is nonzero.
+
+    The witness is the lexicographically first overlapping pair (i, j).
+    The sweep visits j in order and finds the smallest earlier i that
+    overlaps it; the first j reaching the overall smallest i is the
+    witness's j.
+    """
     if s.horizon < 2:
         raise ValueError("horizon must be >= 2")
-    abs_elements = [abs(x) for x in s.elements]
-    for i in range(len(abs_elements)):
-        for j in range(i + 1, len(abs_elements)):
-            if not abs_elements[i].meet(abs_elements[j]).is_zero:
-                return DisjointVerdict(False, (i + 1, j + 1))
-    return DisjointVerdict(True, None)
+    absolute = [abs(x) for x in s.elements]
+    first: dict[int, int] = {}  # coordinate -> first element with it in its prefix support
+    tailed: list[tuple[int, TailVector]] = []  # elements with a nonzero tail, in order
+    witness = None
+    for j, ax in enumerate(absolute):
+        support = [k for k, v in enumerate(ax.prefix, start=1) if v != 0.0]
+        hits = [first[k] for k in support if k in first]
+        for i, ai in tailed:
+            if any(k > len(ai.prefix) and ai.value(k) != 0.0 for k in support):
+                hits.append(i)
+                break
+        if not ax.tail.is_zero:
+            hits += [i for k, i in first.items() if k > len(ax.prefix) and ax.value(k) != 0.0]
+            if tailed:
+                hits.append(tailed[0][0])
+            tailed.append((j, ax))
+        if hits and (witness is None or min(hits) < witness[0]):
+            witness = (min(hits), j)
+        for k in support:
+            first.setdefault(k, j)
+    if witness is None:
+        return DisjointVerdict(True, None)
+    return DisjointVerdict(False, (witness[0] + 1, witness[1] + 1))
 
 
 @dataclass(frozen=True)

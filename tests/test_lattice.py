@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uodual.lattice import (
+    DisjointVerdict,
     FunctionalNotBounded,
     SpaceModel,
     Tail,
@@ -143,6 +145,50 @@ class TestEventualSign:
         tail = Tail.make(1.0, ((-4.0, math.nextafter(1.0, 0.0)),))
         with pytest.raises(TailTooClose):
             eventual_sign(tail)
+
+
+COEFFICIENTS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def close_ratio_tails(draw):
+    """Tails whose ratios nearly coincide, directly or through products.
+
+    Either two ratios a relative gap apart (down to neighbouring floats),
+    or a product of two tails, as ``Tail.mul`` builds them for ``dot``,
+    plus a term at the decimal rounding of the product ratio.
+    """
+    a, b = draw(st.sampled_from(COEFFICIENTS)), draw(st.sampled_from(COEFFICIENTS))
+    if draw(st.booleans()):
+        r = draw(st.floats(min_value=0.05, max_value=0.9))
+        gap = draw(st.sampled_from((0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2)))
+        s = max(r + r * gap, math.nextafter(r, 1.0))
+        const = draw(st.sampled_from((0.0, 1e-6, -1.0)))
+        return Tail.make(const, ((a, r), (b, s)))
+    r1, r2 = (draw(st.sampled_from((0.1, 0.2, 0.3, 0.6, 0.7, 0.9))) for _ in range(2))
+    c = draw(st.sampled_from((0.0, 1.0)))
+    product = Tail.make(0.0, ((a, r1),)).mul(Tail.make(c, ((b, r2),)))
+    return product.add(Tail.make(0.0, ((draw(st.sampled_from(COEFFICIENTS)), round(r1 * r2, 12)),)))
+
+
+class TestCloseRatios:
+    @settings(max_examples=100, deadline=None)
+    @given(t=close_ratio_tails(), u=close_ratio_tails())
+    def test_ops_return_or_raise_tail_too_close(self, t, u):
+        # every offset is capped, so no allocation or loop may follow a
+        # float-derived index: each operation returns or raises TailTooClose
+        x, y = TailVector.make((1.0,), t), TailVector.make((), u)
+        ops = [
+            lambda: abs(x),
+            lambda: x.meet(y),
+            lambda: x.join(y),
+            lambda: is_disjoint(VectorSequence((TailVector.unit(1), x, y))),
+        ] + [lambda m=m: model_norm(x, m) for m in SpaceModel]
+        for op in ops:
+            try:
+                op()
+            except TailTooClose:
+                pass
 
 
 class TestModelNorm:
@@ -283,6 +329,43 @@ class TestLatticeOps:
             assert d == pytest.approx(approx, abs=1e-8)
 
 
+# tails for disjointness: constant, geometric, two-term tails that cross 0
+# (the first is 0 at offset 1), and a mixed tail that is 0 at offset 0
+SPARSE_TAILS = (
+    Tail.make(1.5, ()),
+    Tail.make(-0.5, ()),
+    Tail.make(0.0, ((1.0, 0.5),)),
+    Tail.make(0.0, ((1.0, 0.5), (-2.0, 0.25))),
+    Tail.make(0.0, ((-1.0, 0.5), (2.0, 0.25))),
+    Tail.make(1.0, ((-1.0, 0.5),)),
+)
+
+
+@st.composite
+def sparse_sequences(draw):
+    """Short sequences of blocks at random offsets, a third of them with a tail.
+
+    Blocks may hold zeros, and a tail may start before another element's
+    last nonzero prefix coordinate.
+    """
+    elements = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        offset = draw(st.integers(min_value=0, max_value=12))
+        block = draw(st.lists(st.sampled_from((0.0, 1.0, -0.5, 2.0)), max_size=3))
+        tail = draw(st.sampled_from((Tail(),) * 12 + SPARSE_TAILS))
+        elements.append(TailVector.make((0.0,) * offset + tuple(block), tail))
+    return VectorSequence(tuple(elements))
+
+
+def first_meeting_pair(s: VectorSequence):
+    """Reference: the first pair (i, j), i < j, whose exact meet |x_i| ^ |x_j| is not 0."""
+    absolute = [abs(x) for x in s.elements]
+    for i, j in itertools.combinations(range(len(absolute)), 2):
+        if not absolute[i].meet(absolute[j]).is_zero:
+            return i + 1, j + 1
+    return None
+
+
 def units(horizon, scale=1.0):
     return VectorSequence.from_generator(lambda n: TailVector.unit(n, scale), horizon, name="units")
 
@@ -324,6 +407,21 @@ class TestOrderNull:
         assert v.verdict == "not-order-null"
         assert v.uo.is_null
         assert not v.sup_stabilized
+
+    def test_unit_vectors_order_null_in_ell_infty(self):
+        # l-infinity is Dedekind complete: the marching units are dominated
+        # by the constant 1.5, so uo-null means order-null although their
+        # tail supremum never stabilises
+        v = is_order_null(units(64, 1.5), SpaceModel.ELL_INFTY, 1e-9)
+        assert v.verdict == "order-null-evidence"
+        assert not v.sup_stabilized
+        assert v.sup_in_model
+        for m in (SpaceModel.ELL1, SpaceModel.C0):
+            assert is_order_null(units(64, 1.5), m, 1e-9).verdict == "not-order-null"
+
+    def test_constant_tail_not_order_null_in_ell_infty(self):
+        s = VectorSequence.from_generator(lambda n: TailVector.ones(), 64)
+        assert is_order_null(s, SpaceModel.ELL_INFTY, 1e-9).verdict == "not-order-null"
 
     def test_shrinking_single_coordinate(self):
         s = VectorSequence.from_generator(lambda n: TailVector.unit(1, 1.0 / n), 64)
@@ -385,6 +483,56 @@ class TestDisjoint:
             )
             assert is_disjoint(s).disjoint
             assert is_uo_null(s, SpaceModel.ELL1, 1e-9).is_null
+
+    def test_only_first_and_last_overlap(self):
+        s = VectorSequence.from_generator(
+            lambda n: TailVector.unit(n if n < 16 else 1, -2.0 if n == 16 else 1.0), 16
+        )
+        assert is_disjoint(s) == DisjointVerdict(False, (1, 16))
+
+    def test_two_tails_overlap(self):
+        s = VectorSequence((
+            TailVector.unit(1),
+            TailVector.geometric(1.0, 0.5, prefix=(0.0, 0.0)),
+            TailVector.unit(2),
+            TailVector.constant(-1.0, prefix=(0.0,) * 5),
+        ))
+        assert is_disjoint(s) == DisjointVerdict(False, (2, 4))
+
+    def test_geometric_tail_meets_later_unit_vector(self):
+        s = VectorSequence((
+            TailVector.geometric(1.0, 0.5, prefix=(0.0,) * 4),
+            TailVector.unit(1),
+            TailVector.unit(3),
+            TailVector.unit(9, -0.5),
+        ))
+        assert is_disjoint(s) == DisjointVerdict(False, (1, 4))
+
+    def test_zero_folded_into_a_tail(self):
+        # |x| = (1, 0, 1/8, ...): canonicalisation folds the zero at
+        # coordinate 2 into the tail, which starts there
+        x = TailVector.make((), Tail.make(0.0, ((1.0, 0.5), (-2.0, 0.25))))
+        assert len(abs(x).prefix) == 1 and abs(x).value(2) == 0.0
+        assert is_disjoint(VectorSequence((x, TailVector.unit(2)))).disjoint
+        assert is_disjoint(VectorSequence((TailVector.unit(2), x))).disjoint
+        s = VectorSequence((x, TailVector.unit(2), TailVector.unit(3)))
+        assert is_disjoint(s) == DisjointVerdict(False, (1, 3))
+
+    def test_tails_with_close_ratios_overlap(self):
+        # both tails are eventually positive, so no sign split is needed
+        s = VectorSequence((TailVector.geometric(1.0, 0.5), TailVector.geometric(1.0, 0.5 + 1e-9)))
+        assert is_disjoint(s) == DisjointVerdict(False, (1, 2))
+
+    def test_tail_too_close_raises(self):
+        x = TailVector.make((), Tail.make(0.0, ((1.0, 0.1), (-1.0, 0.1 + 1e-16))))
+        with pytest.raises(TailTooClose):
+            is_disjoint(VectorSequence((TailVector.unit(1), TailVector.unit(1), x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=sparse_sequences())
+    def test_matches_pairwise_meets(self, s):
+        pair = first_meeting_pair(s)
+        assert is_disjoint(s) == DisjointVerdict(pair is None, pair)
 
 
 class TestOcPart:
