@@ -558,11 +558,13 @@ def is_order_null(s: VectorSequence, m: SpaceModel, tol: float) -> OrderNullVerd
 
     The dominating element is the lattice supremum of |x_n| over the tail
     half of the horizon, computed exactly.  It must belong to the model
-    with a finite norm.  In l1 and c0 it must also stabilise (adding the
-    last window of elements does not change it, so it is not escaping to
-    ever-larger support).  l-infinity is Dedekind complete, so there
-    order-bounded means norm-bounded, which the finite norm of the
-    supremum already shows: marching unit vectors are order-null there.
+    with a finite norm and stabilise: adding the last window of elements
+    does not change it, so it is not escaping to ever-larger support.
+    l-infinity is Dedekind complete, so there order-bounded means
+    norm-bounded, and it is enough that the norm of the supremum
+    stabilises: marching unit vectors of one size are order-null there,
+    while n * e_n, whose supremum has a finite norm at every horizon, is
+    not.
     """
     uo = is_uo_null(s, m, tol)
     h = s.horizon
@@ -576,7 +578,10 @@ def is_order_null(s: VectorSequence, m: SpaceModel, tol: float) -> OrderNullVerd
         sup_full = sup_full.join(abs(s.element(n)))
     stabilized = sup_partial == sup_full
     member = membership(sup_full, m) and model_norm(sup_full, m) < math.inf
-    ok = uo.is_null and member and (stabilized or m is SpaceModel.ELL_INFTY)
+    bounded = stabilized or (
+        m is SpaceModel.ELL_INFTY and model_norm(sup_partial, m) == model_norm(sup_full, m)
+    )
+    ok = uo.is_null and member and bounded
     return OrderNullVerdict(
         "order-null-evidence" if ok else "not-order-null",
         uo,
@@ -600,13 +605,16 @@ def is_disjoint(s: VectorSequence) -> DisjointVerdict:
 
     The support of |x| is the set of prefix coordinates where it is
     nonzero, plus, when its tail is nonzero, the coordinates k from
-    T = len(prefix) + 1 on where ``|x|.value(k) != 0``.  ``abs`` settles
-    the tail's sign before T, so such a tail is >= 0 and eventually
-    positive; only the few coordinates that canonicalisation folded back
-    into it can be 0.  Two elements therefore overlap iff their prefix
-    supports share a coordinate, or both tails are nonzero, or one
-    element's prefix support reaches a coordinate k >= T where the
-    other's tail is nonzero.
+    T = len(prefix) + 1 on where its value is nonzero.  Tail values are
+    read as ``meet`` reads them, from ``head``.  ``abs`` settles the
+    tail's sign before T, so the tail is eventually positive; only the
+    few coordinates that canonicalisation folded back into it can read 0,
+    or, by rounding, slightly below 0.  Two elements therefore overlap iff
+    their prefix supports share a coordinate, or both tails are nonzero,
+    or one element's prefix support reaches a coordinate k >= T where the
+    other's tail is nonzero.  A tail that reads below 0 somewhere is
+    decided by the exact meet against each element without a tail, since
+    the meet sees such a value wherever its own range reaches.
 
     The witness is the lexicographically first overlapping pair (i, j).
     The sweep visits j in order and finds the smallest earlier i that
@@ -616,21 +624,36 @@ def is_disjoint(s: VectorSequence) -> DisjointVerdict:
     if s.horizon < 2:
         raise ValueError("horizon must be >= 2")
     absolute = [abs(x) for x in s.elements]
+    reach = max(len(ax.prefix) for ax in absolute)
     first: dict[int, int] = {}  # coordinate -> first element with it in its prefix support
-    tailed: list[tuple[int, TailVector]] = []  # elements with a nonzero tail, in order
+    tailed = []  # (index, |x|, head(reach), reads below 0) for nonzero tails, in order
     witness = None
     for j, ax in enumerate(absolute):
         support = [k for k, v in enumerate(ax.prefix, start=1) if v != 0.0]
         hits = [first[k] for k in support if k in first]
-        for i, ai in tailed:
-            if any(k > len(ai.prefix) and ai.value(k) != 0.0 for k in support):
-                hits.append(i)
-                break
-        if not ax.tail.is_zero:
-            hits += [i for k, i in first.items() if k > len(ax.prefix) and ax.value(k) != 0.0]
+        if ax.tail.is_zero:
+            for i, ai, head, negative in tailed:
+                if negative:
+                    overlap = not ai.meet(ax).is_zero
+                else:
+                    overlap = any(k > len(ai.prefix) and head[k - 1] != 0.0 for k in support)
+                if overlap:
+                    hits.append(i)
+                    break
+        else:
+            head = ax.head(reach)
+            J, _ = eventual_sign(ax.tail)
+            negative = bool((ax.tail.values(J) < 0.0).any())
+            if negative:
+                for i in range(j):
+                    if absolute[i].tail.is_zero and not absolute[i].meet(ax).is_zero:
+                        hits.append(i)
+                        break
+            else:
+                hits += [i for k, i in first.items() if k > len(ax.prefix) and head[k - 1] != 0.0]
             if tailed:
                 hits.append(tailed[0][0])
-            tailed.append((j, ax))
+            tailed.append((j, ax, head, negative))
         if hits and (witness is None or min(hits) < witness[0]):
             witness = (min(hits), j)
         for k in support:

@@ -341,6 +341,28 @@ SPARSE_TAILS = (
 )
 
 
+# non-dyadic tails whose |x| has a zero folded into its tail: the exact
+# float sum of the tail is 0 there, while head's running sum, which meet
+# reads, lands just above 0 (the first, at coordinate 2) or just below 0
+# (the second, at coordinate 1); and a product of two tails as Tail.mul
+# builds them for dot
+FOLDED_TAILS = (
+    Tail.make(0.33, ((-1.3, 0.3), (0.3, 0.2))),
+    Tail.make(0.2, ((-0.1, 0.3), (-0.1, 0.2))),
+    Tail.make(0.3, ((-0.7, 0.6),)).mul(Tail.make(1.1, ((0.2, 0.45),))),
+)
+
+
+@st.composite
+def cancelling_tails(draw):
+    """A constant plus two non-dyadic terms whose exact float sum is 0 at offset j."""
+    values = st.sampled_from((0.3, -0.7, 1.1, -0.1, 0.6, -1.3, 0.2))
+    ratios = st.sampled_from((0.1, 0.2, 1 / 3, 0.45, 0.6, 0.7))
+    (a, r), (b, q) = ((draw(values), draw(ratios)) for _ in range(2))
+    j = draw(st.integers(min_value=0, max_value=2))
+    return Tail.make(-math.fsum((a * r**j, b * q**j)), ((a, r), (b, q)))
+
+
 @st.composite
 def sparse_sequences(draw):
     """Short sequences of blocks at random offsets, a third of them with a tail.
@@ -352,7 +374,9 @@ def sparse_sequences(draw):
     for _ in range(draw(st.integers(min_value=2, max_value=6))):
         offset = draw(st.integers(min_value=0, max_value=12))
         block = draw(st.lists(st.sampled_from((0.0, 1.0, -0.5, 2.0)), max_size=3))
-        tail = draw(st.sampled_from((Tail(),) * 12 + SPARSE_TAILS))
+        tail = draw(st.one_of(
+            st.sampled_from((Tail(),) * 12 + SPARSE_TAILS + FOLDED_TAILS), cancelling_tails()
+        ))
         elements.append(TailVector.make((0.0,) * offset + tuple(block), tail))
     return VectorSequence(tuple(elements))
 
@@ -419,9 +443,14 @@ class TestOrderNull:
         for m in (SpaceModel.ELL1, SpaceModel.C0):
             assert is_order_null(units(64, 1.5), m, 1e-9).verdict == "not-order-null"
 
-    def test_constant_tail_not_order_null_in_ell_infty(self):
-        s = VectorSequence.from_generator(lambda n: TailVector.ones(), 64)
-        assert is_order_null(s, SpaceModel.ELL_INFTY, 1e-9).verdict == "not-order-null"
+    def test_growing_unit_vectors_not_order_null_in_ell_infty(self):
+        # n * e_n is uo-null but not norm-bounded, so not order-bounded:
+        # its tail supremum has a finite norm at every horizon, 48 after
+        # the first window and 64 after the last
+        s = VectorSequence.from_generator(lambda n: TailVector.unit(n, float(n)), 64)
+        v = is_order_null(s, SpaceModel.ELL_INFTY, 1e-9)
+        assert v.uo.is_null and v.sup_in_model
+        assert v.verdict == "not-order-null"
 
     def test_shrinking_single_coordinate(self):
         s = VectorSequence.from_generator(lambda n: TailVector.unit(1, 1.0 / n), 64)
@@ -527,6 +556,19 @@ class TestDisjoint:
         x = TailVector.make((), Tail.make(0.0, ((1.0, 0.1), (-1.0, 0.1 + 1e-16))))
         with pytest.raises(TailTooClose):
             is_disjoint(VectorSequence((TailVector.unit(1), TailVector.unit(1), x)))
+
+    @pytest.mark.parametrize("tail", FOLDED_TAILS[:2])
+    def test_folded_zero_read_as_meet_reads(self, tail):
+        # the sweep reads |x| from head, as meet does, and leaves a tail
+        # that reads below 0 to the exact meet, whose range covers it
+        x = TailVector.make((), tail)
+        absolute = abs(x)
+        k = len(absolute.prefix) + 1
+        assert absolute.value(k) == 0.0 and absolute.head(k)[k - 1] != 0.0
+        for other in (TailVector.zero(), TailVector.unit(1), TailVector.unit(k), TailVector.unit(9)):
+            for s in (VectorSequence((x, other)), VectorSequence((other, x))):
+                pair = first_meeting_pair(s)
+                assert is_disjoint(s) == DisjointVerdict(pair is None, pair)
 
     @settings(max_examples=300, deadline=None)
     @given(s=sparse_sequences())
