@@ -38,7 +38,6 @@ from .measure import ProbabilitySpace, RandomVariable, integrate, pairing, refin
 from .orlicz import (
     OrliczFunction,
     conjugate,
-    delta2_ratio,
     luxemburg_norm,
     superlinear_growth,
     young_gap,
@@ -60,7 +59,6 @@ __all__ = [
     "builtin",
     "check_bounded_uo_lsc",
     "conjugate",
-    "delta2_ratio",
     "dual_representation_check",
     "extract_ae_subsequence",
     "fenchel_conjugate",

@@ -28,9 +28,7 @@ tolerance.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 
@@ -94,7 +92,7 @@ class ConvexFunctional:
         """Values at every row of ``matrix``; one ``evaluate`` per row without a batched form."""
         if self.evaluate_rows is not None:
             return self.evaluate_rows(space, matrix)
-        values = [self.evaluate(RandomVariable(space, tuple(r))) for r in matrix.tolist()]
+        values = [self.evaluate(RandomVariable(space, r)) for r in matrix]
         return np.array(values, dtype=float)
 
 
@@ -359,7 +357,7 @@ def _lockstep(
     n = space.size
     rng = np.random.default_rng(cfg.seed)
     extra = [rng.uniform(lo / 8.0, hi / 8.0, n) for _ in range(cfg.extra_starts)]
-    witness = np.asarray(rho.witness(space).values, dtype=float)
+    witness = rho.witness(space).array
     owner, starts = [], []
     for p, g in enumerate(duals):
         seen: set[tuple[float, ...]] = set()
@@ -450,7 +448,7 @@ class ConjugateField:
         space = points[0].space
         if any(p.space != space for p in points):
             raise ValueError("dual points must share one space")
-        matrix = np.array([p.values for p in points], dtype=float)
+        matrix = np.array([p.array for p in points])
         reports = _conjugates(rho, space, matrix, config or SearchConfig())
         flags = np.array([cv.possibly_infinite for cv in reports], dtype=bool)
         values = np.array([math.inf if cv.possibly_infinite else cv.value for cv in reports])
@@ -461,14 +459,6 @@ class ConjugateField:
 
     def __len__(self) -> int:
         return self.dual_matrix.shape[0]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["g_index", "value", "boundary_flag"])
-        for i, (v, b) in enumerate(zip(self.values, self.boundary_flags)):
-            writer.writerow([i, repr(float(v)), int(b)])
-        return buf.getvalue()
 
 
 def biconjugate(field: ConjugateField, f: RandomVariable) -> float:

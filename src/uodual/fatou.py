@@ -16,7 +16,6 @@ every cell of the finest generated level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,23 +83,27 @@ class TestSequence:
         return self.generator(n)
 
 
+def _level(n: int) -> int:
+    """The smallest level L with 2**L >= n, by integer arithmetic only."""
+    return (n - 1).bit_length()
+
+
 def _spike_element(n: int) -> RandomVariable:
     """n * indicator of [0, 1/n], realised with an exact unit integral.
 
     The boundary cell carries the exact dyadic remainder of the mass, so
     the integral equals 1 for every n, not only for powers of two.
     """
-    level = max(0, math.ceil(math.log2(n))) if n > 1 else 0
+    level = _level(n)
     cells = 2**level
     width = 2.0**-level
     full = cells // n
-    values = [0.0] * cells
-    for j in range(full):
-        values[j] = float(n)
+    values = np.zeros(cells)
+    values[:full] = float(n)
     remainder = 1.0 - full * n * width
     if remainder > 0.0 and full < cells:
         values[full] = remainder / width
-    return RandomVariable.from_values(ProbabilitySpace.dyadic(level), values)
+    return RandomVariable(ProbabilitySpace.dyadic(level), values)
 
 
 def _typewriter_element(n: int) -> RandomVariable:
@@ -115,20 +118,19 @@ def _typewriter_element(n: int) -> RandomVariable:
     k = n.bit_length() - 1
     i = n - 2**k
     block = (i + k) % (2**k) if k > 0 else 0
-    level = max(k, math.ceil(math.log2(n))) if n > 1 else 0
-    values = [0.0] * (2**level)
+    level = _level(n)  # k, or k + 1 when n is not a power of two
     width = 2 ** (level - k)
-    for j in range(block * width, (block + 1) * width):
-        values[j] = 1.0
-    return RandomVariable.from_values(ProbabilitySpace.dyadic(level), values)
+    values = np.zeros(2**level)
+    values[block * width : (block + 1) * width] = 1.0
+    return RandomVariable(ProbabilitySpace.dyadic(level), values)
 
 
 def _oscillating_element(n: int) -> RandomVariable:
-    level = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    level = max(1, _level(n))
     cells = 2**level
-    sign = -1.0 if n % 2 else 1.0
-    values = [sign] * (cells // 2) + [0.0] * (cells - cells // 2)
-    return RandomVariable.from_values(ProbabilitySpace.dyadic(level), values)
+    values = np.zeros(cells)
+    values[: cells // 2] = -1.0 if n % 2 else 1.0
+    return RandomVariable(ProbabilitySpace.dyadic(level), values)
 
 
 def generate(name: str, limit_value: RandomVariable | None = None) -> TestSequence:
@@ -153,7 +155,7 @@ def generate(name: str, limit_value: RandomVariable | None = None) -> TestSequen
 
         def element(n: int, f=f) -> RandomVariable:
             if f.space.level is not None and 2**f.space.level < n:
-                return refine(f, math.ceil(math.log2(n)))
+                return refine(f, _level(n))
             return f
 
         return TestSequence("constant", element, f, ae_convergent=True)
@@ -273,13 +275,12 @@ def extract_ae_subsequence(
         raise NotConvergent(f"sequence {s.name!r} has no declared limit; pass one explicitly")
     if phi_weight is None:
         phi_weight = RandomVariable.ones(ProbabilitySpace.dyadic(0))
-    if any(v <= 0.0 for v in phi_weight.values):
+    if not (phi_weight.array > 0.0).all():
         raise ValueError("phi_weight must be strictly positive at every point")
 
     def certificate(f: RandomVariable) -> float:
         a, b = common_refinement(f, limit)
-        diff = RandomVariable(a.space, tuple(abs(x - y) for x, y in zip(a.values, b.values)))
-        return pairing(diff, phi_weight)
+        return pairing(RandomVariable(a.space, np.abs(a.array - b.array)), phi_weight)
 
     indices: list[int] = []
     certificates: list[float] = []

@@ -5,16 +5,20 @@ dyadic space at level L has 2**L equal cells, and refining a random
 variable replicates cell values across subcells, so integrals are
 preserved exactly.  General weighted spaces are supported but cannot be
 refined.  All types are immutable and all operations are pure.
+
+A random variable holds its values as one read-only float64 array, so
+refinement and the pointwise operations are single numpy calls; integrals
+and pairings stay exact by compensated summation of the elementwise
+products.  Dyadic spaces are built and validated once per level and then
+shared: ``ProbabilitySpace.dyadic(L)`` returns the same object every time.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +34,10 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+
+# dyadic spaces kept alive by ProbabilitySpace.dyadic; a level-13 space
+# (8,192 labels) takes under 1 MB
+_DYADIC_CACHE = 32
 
 
 class IncompatibleSpaces(ValueError):
@@ -72,12 +80,8 @@ class ProbabilitySpace:
 
     @classmethod
     def dyadic(cls, level: int) -> ProbabilitySpace:
-        """The 2**level equal cells of [0, 1)."""
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        n = 2**level
-        labels = tuple(f"[{j}/{n},{j + 1}/{n})" for j in range(n))
-        return cls(labels, (2.0**-level,) * n, level)
+        """The 2**level equal cells of [0, 1); one shared object per level."""
+        return _dyadic(operator.index(level))
 
     @classmethod
     def uniform(cls, n: int) -> ProbabilitySpace:
@@ -100,38 +104,45 @@ class ProbabilitySpace:
         arr.flags.writeable = False
         return arr
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"points": list(self.points), "weights": list(self.weights), "level": self.level}
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> ProbabilitySpace:
-        data = json.loads(text)
-        return cls(tuple(data["points"]), tuple(data["weights"]), data.get("level"))
+@lru_cache(maxsize=_DYADIC_CACHE)
+def _dyadic(level: int) -> ProbabilitySpace:
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    n = 2**level
+    labels = tuple(f"[{j}/{n},{j + 1}/{n})" for j in range(n))
+    return ProbabilitySpace(labels, (2.0**-level,) * n, level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """Real values on the point set of a probability space."""
+    """Real values on the point set of a probability space.
+
+    ``array`` is a read-only float64 copy of the values given, one per
+    sample point, all finite.  The constructor accepts any sequence or
+    array of reals.  Two variables are equal when their spaces are equal
+    and their values compare equal; ``values`` gives the values as a tuple.
+    """
 
     space: ProbabilitySpace
-    values: tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.space.size:
+        arr = np.array(self.array, dtype=float)
+        if arr.shape != (self.space.size,):
             raise ValueError("one value per sample point required")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError("values must be finite (no NaN or infinity)")
+        if not np.isfinite(arr).all():
+            raise ValueError("values must be finite (no NaN or infinity)")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @classmethod
     def from_values(cls, space: ProbabilitySpace, values) -> RandomVariable:
-        return cls(space, tuple(float(v) for v in values))
+        return cls(space, values)
 
     @classmethod
     def constant(cls, space: ProbabilitySpace, c: float) -> RandomVariable:
-        return cls(space, (float(c),) * space.size)
+        return cls(space, np.full(space.size, float(c)))
 
     @classmethod
     def zero(cls, space: ProbabilitySpace) -> RandomVariable:
@@ -141,52 +152,39 @@ class RandomVariable:
     def ones(cls, space: ProbabilitySpace) -> RandomVariable:
         return cls.constant(space, 1.0)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=float)
-        arr.flags.writeable = False
-        return arr
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RandomVariable):
+            return NotImplemented
+        return self.space == other.space and bool(np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.values))
 
     def abs(self) -> RandomVariable:
-        return RandomVariable(self.space, tuple(abs(v) for v in self.values))
-
-    def map(self, fn) -> RandomVariable:
-        return RandomVariable.from_values(self.space, [fn(v) for v in self.values])
+        return RandomVariable(self.space, np.abs(self.array))
 
     def __add__(self, other: RandomVariable) -> RandomVariable:
         f, g = common_refinement(self, other)
-        return RandomVariable(f.space, tuple(a + b for a, b in zip(f.values, g.values)))
+        with np.errstate(over="ignore"):
+            return RandomVariable(f.space, f.array + g.array)
 
     def __sub__(self, other: RandomVariable) -> RandomVariable:
         f, g = common_refinement(self, other)
-        return RandomVariable(f.space, tuple(a - b for a, b in zip(f.values, g.values)))
+        with np.errstate(over="ignore"):
+            return RandomVariable(f.space, f.array - g.array)
 
     def __mul__(self, scalar: float) -> RandomVariable:
-        return RandomVariable(self.space, tuple(scalar * v for v in self.values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return RandomVariable(self.space, float(scalar) * self.array)
 
     __rmul__ = __mul__
 
     def sup_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
-    def to_csv(self) -> str:
-        """One row per point, columns ``index,weight,value``."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["index", "weight", "value"])
-        for i, (w, v) in enumerate(zip(self.space.weights, self.values)):
-            writer.writerow([i, repr(w), repr(v)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, level: int | None = None) -> RandomVariable:
-        rows = list(csv.DictReader(io.StringIO(text)))
-        weights = tuple(float(r["weight"]) for r in rows)
-        values = tuple(float(r["value"]) for r in rows)
-        points = tuple(f"p{r['index']}" for r in rows)
-        if level is not None:
-            return cls(ProbabilitySpace.dyadic(level), values)
-        return cls(ProbabilitySpace(points, weights), values)
+        return float(np.max(np.abs(self.array)))
 
 
 def integrate(f: RandomVariable) -> float:
@@ -195,7 +193,7 @@ def integrate(f: RandomVariable) -> float:
     Computed with compensated summation so the result does not depend on
     incidental evaluation order and refinement preserves it exactly.
     """
-    return math.fsum(v * w for v, w in zip(f.values, f.space.weights))
+    return math.fsum((f.array * f.space.weight_array).tolist())
 
 
 def refine(f: RandomVariable, level: int) -> RandomVariable:
@@ -206,9 +204,8 @@ def refine(f: RandomVariable, level: int) -> RandomVariable:
         raise ValueError(f"cannot refine level {f.space.level} down to {level}")
     if level == f.space.level:
         return f
-    reps = 2 ** (level - f.space.level)
-    values = tuple(v for v in f.values for _ in range(reps))
-    return RandomVariable(ProbabilitySpace.dyadic(level), values)
+    space = ProbabilitySpace.dyadic(level)
+    return RandomVariable(space, np.repeat(f.array, 2 ** (space.level - f.space.level)))
 
 
 def common_refinement(f: RandomVariable, g: RandomVariable) -> tuple[RandomVariable, RandomVariable]:
@@ -226,4 +223,4 @@ def common_refinement(f: RandomVariable, g: RandomVariable) -> tuple[RandomVaria
 def pairing(f: RandomVariable, g: RandomVariable) -> float:
     """The bilinear duality pairing: the integral of the product f*g."""
     f, g = common_refinement(f, g)
-    return math.fsum(a * b * w for a, b, w in zip(f.values, g.values, f.space.weights))
+    return math.fsum((f.array * g.array * f.space.weight_array).tolist())

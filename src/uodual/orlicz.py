@@ -15,10 +15,9 @@ evidence-graded heuristics: limits are not finitely decidable.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "OrliczFunction",
     "ZeroDenominator",
     "conjugate",
-    "delta2_ratio",
     "delta2_report",
     "luxemburg_norm",
     "superlinear_growth",
@@ -119,9 +117,16 @@ class OrliczFunction:
             fn._validate_grid()
         return fn
 
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``grid_s`` and ``grid_y`` of a sampled function as read-only arrays."""
+        s = np.array(self.grid_s, dtype=float)
+        y = np.array(self.grid_y, dtype=float)
+        s.flags.writeable = y.flags.writeable = False
+        return s, y
+
     def _validate_grid(self) -> None:
-        s = np.asarray(self.grid_s)
-        y = np.asarray(self.grid_y)
+        s, y = self._knots
         if s[0] != 0.0 or abs(y[0]) > 1e-12:
             raise ValueError("sampled Orlicz function must start at phi(0) = 0")
         if np.any(np.diff(y) < -1e-12 * max(1.0, float(np.max(np.abs(y))))):
@@ -144,8 +149,7 @@ class OrliczFunction:
             with np.errstate(over="ignore"):
                 out = np.expm1(self.rate * arr)
         elif self.kind == "sampled":
-            gs = np.asarray(self.grid_s)
-            gy = np.asarray(self.grid_y)
+            gs, gy = self._knots
             out = np.interp(arr, gs, gy)
             # np.interp clamps; extend the last segment linearly instead
             last_slope = (gy[-1] - gy[-2]) / (gs[-1] - gs[-2])
@@ -166,22 +170,6 @@ class OrliczFunction:
         if self.kind == "exp":
             return f"exp({self.rate:g}*s)-1"
         return f"sampled[{len(self.grid_s)} knots, cap {self.domain_cap:g}]"
-
-    def to_csv(self) -> str:
-        """Sampled form as ``s,phi`` rows (parametric kinds are sampled first)."""
-        if self.kind != "sampled":
-            raise ValueError("only sampled functions serialise to CSV")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["s", "phi"])
-        for a, b in zip(self.grid_s, self.grid_y):
-            writer.writerow([repr(a), repr(b)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> OrliczFunction:
-        rows = list(csv.DictReader(io.StringIO(text)))
-        return cls.sampled([r["s"] for r in rows], [r["phi"] for r in rows])
 
 
 @dataclass(frozen=True)
@@ -415,8 +403,3 @@ def delta2_report(phi: OrliczFunction, t_range: tuple[float, float], samples: in
     growing = len(tail) >= 2 and tail[-1] > 2.0 * tail[0]
     verdict = "unbounded-evidence" if growing or ratio_max > 1e3 else "bounded-evidence"
     return Delta2Report(probes, tuple(ratios), ratio_max, verdict)
-
-
-def delta2_ratio(phi: OrliczFunction, t_range: tuple[float, float], samples: int) -> float:
-    """Max of phi(2t)/phi(t) over a sampled range (heuristic diagnostic)."""
-    return delta2_report(phi, t_range, samples).ratio_max

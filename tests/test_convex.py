@@ -161,16 +161,13 @@ class TestFenchelConjugate:
 
 
 class TestConjugateField:
-    def test_compute_and_csv(self):
+    def test_compute(self):
         rho = builtin("expectation")
         pts = [RandomVariable.ones(SP4), rv([2.0, 0.0, 1.0, 1.0])]
         field = ConjugateField.compute(rho, pts)
         assert len(field) == 2
         assert field.values[0] == pytest.approx(0.0, abs=1e-9)
         assert math.isinf(field.values[1])
-        text = field.to_csv()
-        assert text.splitlines()[0] == "g_index,value,boundary_flag"
-        assert len(text.splitlines()) == 3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyDualGrid):

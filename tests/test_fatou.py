@@ -6,6 +6,7 @@ import pytest
 from uodual.convex import builtin
 from uodual.fatou import TestSequence as Sequence
 from uodual.fatou import (
+    _level,
     ExtractionStalled,
     NotConvergent,
     NotNormBounded,
@@ -79,6 +80,60 @@ class TestGenerators:
     def test_constant_requires_value(self):
         with pytest.raises(ValueError, match="limit_value"):
             generate("constant")
+
+
+def float_level(n: int) -> int:
+    """The level as the generators computed it before: from a float log2."""
+    return math.ceil(math.log2(n)) if n > 1 else 0
+
+
+def reference_elements(n: int) -> dict[str, list[float]]:
+    """Element values of spike, typewriter and oscillating built cell by cell."""
+    level = float_level(n)
+    cells, width = 2**level, 2.0**-level
+    full = cells // n
+    spike = [0.0] * cells
+    for j in range(full):
+        spike[j] = float(n)
+    remainder = 1.0 - full * n * width
+    if remainder > 0.0 and full < cells:
+        spike[full] = remainder / width
+    k = n.bit_length() - 1
+    block = (n - 2**k + k) % (2**k) if k > 0 else 0
+    block_width = 2 ** (level - k)
+    typewriter = [0.0] * cells
+    for j in range(block * block_width, (block + 1) * block_width):
+        typewriter[j] = 1.0
+    osc_cells = 2 ** max(1, level)
+    sign = -1.0 if n % 2 else 1.0
+    oscillating = [sign] * (osc_cells // 2) + [0.0] * (osc_cells - osc_cells // 2)
+    return {"spike": spike, "typewriter": typewriter, "oscillating": oscillating}
+
+
+class TestIntegerLevels:
+    def test_level_is_exact_where_the_float_form_is_not(self):
+        assert _level(1) == 0 and _level(2) == 1 and _level(3) == 2 and _level(4) == 2
+        # log2(2**53 + 1) rounds to 53.0, so the float form asks for too few cells
+        assert float_level(2**53 + 1) == 53
+        assert _level(2**53 + 1) == 54
+        assert _level(2**53) == 53
+
+    def test_elements_match_the_cell_by_cell_construction(self):
+        seqs = {name: generate(name) for name in ("spike", "typewriter", "oscillating")}
+        base = RandomVariable.from_values(ProbabilitySpace.dyadic(2), [1.0, -2.0, 0.5, 3.0])
+        constant = generate("constant", base)
+        for n in range(1, 4097):
+            level = float_level(n)
+            assert _level(n) == level
+            for name, values in reference_elements(n).items():
+                f = seqs[name].element(n)
+                assert f.space is ProbabilitySpace.dyadic(max(level, 1 if name == "oscillating" else 0))
+                assert np.array_equal(f.array, values), (name, n)
+            spike = seqs["spike"].element(n)
+            assert integrate(spike) == 1.0
+            c = constant.element(n)
+            assert c.space.level == max(level, 2)
+            assert np.array_equal(c.array, np.repeat(base.array, 2 ** (c.space.level - 2)))
 
 
 class TestCheckBoundedUoLsc:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,9 +44,16 @@ class TestProbabilitySpace:
         with pytest.raises(ValueError, match="dyadic"):
             ProbabilitySpace(("a", "b", "c"), (1 / 3,) * 3, level=1)
 
-    def test_json_roundtrip(self):
-        sp = ProbabilitySpace.weighted(("x", "y", "z"), (0.2, 0.3, 0.5))
-        assert ProbabilitySpace.from_json(sp.to_json()) == sp
+    def test_dyadic_spaces_are_shared(self):
+        assert ProbabilitySpace.dyadic(5) is ProbabilitySpace.dyadic(5)
+        assert ProbabilitySpace.dyadic(np.int64(5)) is ProbabilitySpace.dyadic(5)
+
+    def test_dyadic_level_checked_after_caching(self):
+        ProbabilitySpace.dyadic(2)
+        with pytest.raises(TypeError):
+            ProbabilitySpace.dyadic(2.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            ProbabilitySpace.dyadic(-1)
 
 
 class TestRandomVariable:
@@ -61,12 +69,51 @@ class TestRandomVariable:
         with pytest.raises(ValueError, match="finite"):
             RandomVariable(sp, (1.0, math.inf))
 
-    def test_csv_roundtrip(self):
+    def test_overflow_rejected_without_warnings(self):
+        sp = ProbabilitySpace.dyadic(1)
+        f = RandomVariable(sp, (1e308, -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (
+                lambda: RandomVariable(sp, np.array([1.0, -math.inf])),
+                lambda: RandomVariable(sp, np.array([math.nan, 0.0])),
+                lambda: 1e308 * f,
+                lambda: f * -1e308,
+                lambda: math.inf * RandomVariable.zero(sp),
+                lambda: f + f,
+                lambda: f - (-1.0) * f,
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    build()
+
+    def test_construction_copies_input(self):
         sp = ProbabilitySpace.dyadic(2)
-        f = RandomVariable.from_values(sp, [1.5, -2.25, 0.0, 3.0])
-        g = RandomVariable.from_csv(f.to_csv(), level=2)
-        assert g.values == f.values
-        assert g.space == sp
+        source = np.array([1.0, 2.0, 3.0, 4.0])
+        f = RandomVariable(sp, source)
+        source[0] = 99.0
+        assert f.values == (1.0, 2.0, 3.0, 4.0)
+        assert not np.shares_memory(f.array, source)
+
+    def test_array_is_read_only(self):
+        f = RandomVariable.from_values(ProbabilitySpace.dyadic(1), [1.0, 2.0])
+        assert f.array.dtype == np.float64
+        with pytest.raises(ValueError):
+            f.array[0] = 5.0
+        with pytest.raises(AttributeError):
+            f.array = np.zeros(2)
+
+    def test_tuple_and_array_inputs_agree(self):
+        sp = ProbabilitySpace.dyadic(2)
+        f = RandomVariable(sp, (0.5, -1.0, 0.0, 2.0))
+        g = RandomVariable(sp, np.array([0.5, -1.0, -0.0, 2.0]))
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        assert f != RandomVariable(sp, (0.5, -1.0, 0.0, 2.5))
+        assert f != RandomVariable(ProbabilitySpace.uniform(4), (0.5, -1.0, 0.0, 2.0))
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="per sample point"):
+            RandomVariable(ProbabilitySpace.dyadic(2), np.ones((2, 2)))
 
 
 class TestIntegrate:
@@ -195,3 +242,57 @@ class TestBilinearity:
         a, b = common_refinement(f, g)
         assert a.space == b.space
         assert integrate(a) == pytest.approx(integrate(f), abs=1e-13)
+
+
+# -- the array-backed operations against a pure-Python tuple reference --------
+
+
+def bits(values) -> tuple[str, ...]:
+    """Exact bit patterns of floats (tells -0.0 from 0.0)."""
+    return tuple(float(v).hex() for v in values)
+
+
+def ref_refine(values: tuple, reps: int) -> tuple:
+    return tuple(v for v in values for _ in range(reps))
+
+
+def ref_common(f: RandomVariable, g: RandomVariable) -> tuple[tuple, tuple, tuple]:
+    """Values of f and g replicated to the finer level, and its weights."""
+    level = max(f.space.level, g.space.level)
+    a = ref_refine(f.values, 2 ** (level - f.space.level))
+    b = ref_refine(g.values, 2 ** (level - g.space.level))
+    return a, b, (2.0**-level,) * len(a)
+
+
+@st.composite
+def mixed_level_pairs(draw):
+    vals = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+    out = []
+    for _ in range(2):
+        sp = ProbabilitySpace.dyadic(draw(st.integers(min_value=0, max_value=5)))
+        out.append(RandomVariable(sp, tuple(draw(vals) for _ in range(sp.size))))
+    return tuple(out)
+
+
+class TestArrayMatchesTupleReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=mixed_level_pairs(),
+        c=st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+        extra=st.integers(min_value=0, max_value=3),
+    )
+    def test_bit_for_bit(self, pair, c, extra):
+        f, g = pair
+        a, b, w = ref_common(f, g)
+        assert integrate(f).hex() == math.fsum(v * wi for v, wi in zip(f.values, f.space.weights)).hex()
+        assert pairing(f, g).hex() == math.fsum(x * y * wi for x, y, wi in zip(a, b, w)).hex()
+        target = f.space.level + extra
+        fine = refine(f, target)
+        assert fine.space is ProbabilitySpace.dyadic(target)
+        assert bits(fine.values) == bits(ref_refine(f.values, 2**extra))
+        assert bits(f.abs().values) == bits(abs(v) for v in f.values)
+        assert bits((f + g).values) == bits(x + y for x, y in zip(a, b))
+        assert bits((f - g).values) == bits(x - y for x, y in zip(a, b))
+        assert bits((c * f).values) == bits(c * v for v in f.values)
+        assert bits((f * c).values) == bits(c * v for v in f.values)
+        assert f.sup_abs() == max(abs(v) for v in f.values)

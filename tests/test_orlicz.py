@@ -11,7 +11,6 @@ from uodual.orlicz import (
     OrliczFunction,
     ZeroDenominator,
     conjugate,
-    delta2_ratio,
     delta2_report,
     luxemburg_norm,
     superlinear_growth,
@@ -58,11 +57,35 @@ class TestOrliczFunction:
         with pytest.raises(ValueError, match="identically 0"):
             OrliczFunction.sampled([0, 1, 2], [0, 0, 0])
 
-    def test_csv_roundtrip(self):
-        phi = OrliczFunction.sampled([0, 0.5, 1.25], [0, 0.25, 1.0])
-        again = OrliczFunction.from_csv(phi.to_csv())
-        assert again.grid_s == phi.grid_s
-        assert again.grid_y == phi.grid_y
+    def test_sampled_evaluation_reads_cached_knots_bit_for_bit(self):
+        def reference(phi, s):
+            # the evaluation as it read its knots before: fresh arrays per call
+            arr = np.maximum(np.asarray(s, dtype=float), 0.0)
+            gs, gy = np.asarray(phi.grid_s), np.asarray(phi.grid_y)
+            out = np.interp(arr, gs, gy)
+            last_slope = (gy[-1] - gy[-2]) / (gs[-1] - gs[-2])
+            beyond = arr > gs[-1]
+            if np.any(beyond):
+                if last_slope == 0.0:
+                    extended = np.full_like(out, gy[-1])
+                else:
+                    extended = gy[-1] + last_slope * (arr - gs[-1])
+                out = np.where(beyond, extended, out)
+            return out
+
+        rng = np.random.default_rng(5)
+        psi = conjugate(OrliczFunction.power(1.5), 8.0, 256)
+        flat = OrliczFunction.sampled([0, 1, 2], [0, 1, 1], validate=False)  # last slope 0
+        for phi in (psi, flat, OrliczFunction.sampled([0, 0.5, 1.25], [0, 0.25, 1.0])):
+            cap = phi.grid_s[-1]
+            probes = np.concatenate([rng.uniform(-1.0, 2.0 * cap, 500), np.array(phi.grid_s), [cap * 1e300]])
+            assert phi(probes).tobytes() == reference(phi, probes).tobytes()
+            for t in probes[:20].tolist():
+                assert phi(t) == float(reference(phi, t))
+        gs, gy = psi._knots
+        assert not gs.flags.writeable and not gy.flags.writeable
+        again = OrliczFunction.sampled(psi.grid_s, psi.grid_y, domain_cap=psi.domain_cap)
+        assert again == psi and hash(again) == hash(psi)
 
 
 class TestConjugate:
@@ -202,7 +225,7 @@ class TestLuxemburgNorm:
             for _ in range(10):
                 sp = ProbabilitySpace.dyadic(3)
                 f = RandomVariable.from_values(sp, rng.uniform(-2, 2, 8))
-                pnorm = integrate(f.abs().map(lambda v: v**p)) ** (1 / p)
+                pnorm = integrate(RandomVariable(sp, np.abs(f.array) ** p)) ** (1 / p)
                 res = luxemburg_norm(f, phi, 1e-9)
                 assert abs(res.value - pnorm) <= 2e-9
 
@@ -279,22 +302,22 @@ class TestGrowthDiagnostics:
 class TestDelta2:
     def test_power_ratio_is_two_to_the_p(self):
         for p in (1.0, 1.5, 2.0, 3.0):
-            ratio = delta2_ratio(OrliczFunction.power(p), (0.5, 8.0), 20)
+            ratio = delta2_report(OrliczFunction.power(p), (0.5, 8.0), 20).ratio_max
             assert ratio == pytest.approx(2.0**p, rel=1e-12)
 
     def test_exponential_ratio_explodes(self):
-        assert delta2_ratio(OrliczFunction.exponential(), (1.0, 20.0), 30) > 1e3
         rep = delta2_report(OrliczFunction.exponential(), (1.0, 20.0), 30)
+        assert rep.ratio_max > 1e3
         assert rep.verdict == "unbounded-evidence"
         assert "heuristic" in rep.note
 
     def test_zero_denominator_reported(self):
         flat_then_rise = OrliczFunction.sampled([0, 1, 2], [0, 0, 1])
         with pytest.raises(ZeroDenominator):
-            delta2_ratio(flat_then_rise, (0.25, 0.5), 4)
+            delta2_report(flat_then_rise, (0.25, 0.5), 4)
 
     def test_range_validated(self):
         with pytest.raises(ValueError, match="t_range"):
-            delta2_ratio(OrliczFunction.power(2), (2.0, 1.0), 4)
+            delta2_report(OrliczFunction.power(2), (2.0, 1.0), 4)
         with pytest.raises(DomainExceeded):
-            delta2_ratio(OrliczFunction.exponential(), (1.0, 600.0), 4)
+            delta2_report(OrliczFunction.exponential(), (1.0, 600.0), 4)
