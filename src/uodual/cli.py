@@ -192,16 +192,9 @@ def _parse_orlicz(spec: str) -> OrliczFunction:
     raise ConfigInvalid(f"phi: unknown Orlicz spec {spec!r} (use power:P[:SCALE] or exp[:RATE])")
 
 
-def _parse_functional(params: dict):
-    name = params["functional"] if "functional" in params else params["rho"]
+def _parse_functional(name: str, params: dict):
     try:
-        if name == "entropic":
-            return builtin("entropic", beta=params.get("beta", 1.0))
-        if name == "avar":
-            return builtin("avar", alpha=params.get("alpha", 0.5))
-        if name in ("supnorm-ball", "open-ball"):
-            return builtin(name, radius=params.get("radius", 1.0))
-        return builtin(name)
+        return builtin(name, **{k: params[k] for k in ("beta", "alpha", "radius") if k in params})
     except (UnknownName, ValueError) as exc:
         raise ConfigInvalid(f"functional: {exc}") from exc
 
@@ -272,7 +265,7 @@ def _run_norm(params: dict, seed: int):
 
 
 def _run_dualrep(params: dict, seed: int):
-    rho = _parse_functional(params)
+    rho = _parse_functional(params["functional"], params)
     space = ProbabilitySpace.dyadic(params["space_level"])
     rng = np.random.default_rng(seed)
     probes = [RandomVariable.zero(space), RandomVariable.constant(space, 0.5)]
@@ -298,7 +291,7 @@ def _run_dualrep(params: dict, seed: int):
 
 
 def _run_fatou(params: dict, seed: int):
-    rho = _parse_functional({"functional": params["rho"], **params})
+    rho = _parse_functional(params["rho"], params)
     try:
         seq = generate(params["seq"])
     except UnknownName as exc:

@@ -29,6 +29,7 @@ tolerance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,14 +103,19 @@ class SearchConfig:
 
     box: tuple[float, float] = (-64.0, 64.0)
     extra_starts: int = 1
-    max_sweeps: int = 40
-    sweep_tol: float = 1e-12
-    value_tol: float = 1e-5
     seed: int = 0
-    coarse_points: int = 21
-    golden_iters: int = 60
-    boundary_margin: float = 1e-6
 
+
+# coordinate sweeps per polish round, and the relative gain that counts as movement
+_MAX_SWEEPS = 40
+_SWEEP_TOL = 1e-12
+# relative spread allowed between the restarts of one point
+_VALUE_TOL = 1e-5
+# scan points per coordinate line and golden-section steps after the scans
+_COARSE_POINTS = 21
+_GOLDEN_ITERS = 60
+# share of the box width within which a maximiser counts as on the boundary
+_BOUNDARY_MARGIN = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RECENTRE_LEVELS = 80
@@ -191,7 +197,7 @@ def _scan(fun, xs: np.ndarray, best_x: np.ndarray, best_v: np.ndarray):
     return np.where(better, xs[rows, j], best_x), np.where(better, top, best_v)
 
 
-def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, cfg: SearchConfig):
+def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray):
     """Two-stage scan then golden-section refinement of concave 1-D slices, per row.
 
     The scans guard against slices that are -inf on most of the box
@@ -199,17 +205,17 @@ def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, cfg: Searc
     finite region.  The current point x0 is always a candidate, so the
     surrounding ascent never regresses.
     """
-    coarse = np.linspace(lo, hi, cfg.coarse_points, axis=1)
+    coarse = np.linspace(lo, hi, _COARSE_POINTS, axis=1)
     first = np.concatenate([x0[:, None], coarse], axis=1)
     best_x, best_v = _scan(fun, first, x0, np.full(x0.size, -np.inf))
-    step = (hi - lo) / (cfg.coarse_points - 1)
+    step = (hi - lo) / (_COARSE_POINTS - 1)
     a = np.maximum(lo, best_x - step)
     b = np.minimum(hi, best_x + step)
     best_x, best_v = _scan(fun, np.linspace(a, b, 9, axis=1), best_x, best_v)
     fine = (b - a) / 8.0
     a = np.maximum(lo, best_x - fine)
     b = np.minimum(hi, best_x + fine)
-    x, v = golden_section_max(fun, a, b, cfg.golden_iters, centre=best_x)
+    x, v = golden_section_max(fun, a, b, _GOLDEN_ITERS, centre=best_x)
     better = v > best_v
     return np.where(better, x, best_x), np.where(better, v, best_v)
 
@@ -236,7 +242,7 @@ def _objective(score, wg: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return np.einsum("kmn,kn->km", probes, wg) - score(probes.reshape(k * m, n)).reshape(k, m)
 
 
-def _ascend(score, wg: np.ndarray, starts: np.ndarray, cfg: SearchConfig):
+def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float]):
     """Coordinate ascent of ``_objective`` from every row of ``starts`` at once.
 
     Rows run in lockstep but never interact: a row leaves the sweeps when
@@ -244,7 +250,7 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, cfg: SearchConfig):
     polish finds no move, as a search of that row alone would.  Returns
     the final points and their objective values, one row per start.
     """
-    lo, hi = cfg.box
+    lo, hi = box
     f = np.clip(starts, lo, hi)
     rows, n = f.shape
     val = _objective(score, wg, f[:, None, :])[:, 0]
@@ -256,7 +262,7 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, cfg: SearchConfig):
         def fun(idx, xs):
             return _objective(score, w[idx], probe(base[idx], xs))
 
-        x, v = _maximize_1d(fun, t_lo, t_hi, x0, cfg)
+        x, v = _maximize_1d(fun, t_lo, t_hi, x0)
         # improvements must clear rounding noise, or flat objectives would
         # drift to the box and be misread as unbounded
         accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
@@ -280,7 +286,7 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, cfg: SearchConfig):
     with np.errstate(invalid="ignore"):
         for _ in range(3):
             sweeping = active
-            for _ in range(cfg.max_sweeps):
+            for _ in range(_MAX_SWEEPS):
                 if sweeping.size == 0:
                     break
                 before = val[sweeping]
@@ -288,7 +294,7 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, cfg: SearchConfig):
                 for i in range(n):
                     move(sweeping, f[sweeping, i], box_lo, box_hi, coordinate(i))
                 after = val[sweeping]
-                sweeping = sweeping[~(after - before <= cfg.sweep_tol * (1.0 + np.abs(after)))]
+                sweeping = sweeping[~(after - before <= _SWEEP_TOL * (1.0 + np.abs(after)))]
             # pair/diagonal polish after the sweeps go stationary: coordinate
             # moves alone can stall on the tie ridges of piecewise-linear
             # objectives; a successful polish move triggers another round
@@ -318,14 +324,6 @@ class ConjugateValue:
     possibly_infinite: bool
     argmax: tuple[float, ...]
     start_values: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "possibly_infinite": self.possibly_infinite,
-            "argmax": list(self.argmax),
-            "start_values": list(self.start_values),
-        }
 
 
 # search rows of one lockstep ascent: bounds the scan and recentring
@@ -372,7 +370,7 @@ def _lockstep(
     def score(matrix):
         return rho.rows(space, matrix)
 
-    f, val = _ascend(score, wg[owner], np.array(starts), cfg)
+    f, val = _ascend(score, wg[owner], np.array(starts), cfg.box)
     bounds = np.searchsorted(owner, np.arange(len(duals) + 1))
     best = np.array([s + int(np.argmax(val[s:e])) for s, e in zip(bounds[:-1], bounds[1:])])
     best_f, best_v = f[best], val[best]
@@ -380,7 +378,7 @@ def _lockstep(
     # a maximiser on the box edge means "possibly infinite" only when the
     # objective is still climbing there; an optimum that merely sits at the
     # edge (e.g. a log pushed toward -inf with zero weight) stays finite
-    margin = cfg.boundary_margin * (hi - lo)
+    margin = _BOUNDARY_MARGIN * (hi - lo)
     step = (hi - lo) / 256.0
     at_lo = best_f <= lo + margin
     edge_p, edge_i = np.nonzero(at_lo | (best_f >= hi - margin))
@@ -397,7 +395,7 @@ def _lockstep(
         values = val[s:e].tolist()
         v = float(best_v[p])
         finite = [x for x in values if x > -math.inf]
-        if not on_boundary[p] and finite and max(finite) - min(finite) > cfg.value_tol * (1.0 + abs(v)):
+        if not on_boundary[p] and finite and max(finite) - min(finite) > _VALUE_TOL * (1.0 + abs(v)):
             raise SearchDiverged(
                 f"restarts for {rho.name!r} disagree: {sorted(finite)} with no boundary escape"
             )
@@ -621,7 +619,7 @@ def _neg_expectation() -> ConvexFunctional:
     )
 
 
-def _entropic(beta: float) -> ConvexFunctional:
+def _entropic(beta: float = 1.0) -> ConvexFunctional:
     if beta <= 0:
         raise ValueError("beta must be > 0")
 
@@ -654,7 +652,7 @@ def _entropic(beta: float) -> ConvexFunctional:
     )
 
 
-def _avar(alpha: float) -> ConvexFunctional:
+def _avar(alpha: float = 0.5) -> ConvexFunctional:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
 
@@ -696,7 +694,7 @@ def _worst_case() -> ConvexFunctional:
     )
 
 
-def _supnorm_ball(radius: float, open_ball: bool) -> ConvexFunctional:
+def _supnorm_ball(open_ball: bool, radius: float = 1.0) -> ConvexFunctional:
     if radius <= 0:
         raise ValueError("radius must be > 0")
 
@@ -718,32 +716,28 @@ def _supnorm_ball(radius: float, open_ball: bool) -> ConvexFunctional:
     )
 
 
+# name -> (constructor, the keyword parameters it takes)
+_BUILTINS = {
+    "expectation": (_expectation, ()),
+    "neg-expectation": (_neg_expectation, ()),
+    "entropic": (_entropic, ("beta",)),
+    "avar": (_avar, ("alpha",)),
+    "worst-case": (_worst_case, ()),
+    "supnorm-ball": (functools.partial(_supnorm_ball, False), ("radius",)),
+    "open-ball": (functools.partial(_supnorm_ball, True), ("radius",)),
+}
+
+
 def builtin(name: str, **params) -> ConvexFunctional:
-    """Test zoo of convex functionals with closed-form conjugate oracles."""
-    if name == "expectation":
-        return _expectation()
-    if name == "neg-expectation":
-        return _neg_expectation()
-    if name == "entropic":
-        return _entropic(params.get("beta", 1.0))
-    if name == "avar":
-        return _avar(params.get("alpha", 0.5))
-    if name == "worst-case":
-        return _worst_case()
-    if name == "supnorm-ball":
-        return _supnorm_ball(params.get("radius", 1.0), params.get("open", False))
-    if name == "open-ball":
-        return _supnorm_ball(params.get("radius", 1.0), True)
-    raise UnknownName(f"no builtin functional named {name!r}")
+    """Test zoo of convex functionals with closed-form conjugate oracles.
+
+    Parameters the named functional does not take are ignored.
+    """
+    if name not in _BUILTINS:
+        raise UnknownName(f"no builtin functional named {name!r}")
+    make, takes = _BUILTINS[name]
+    return make(**{k: params[k] for k in takes if k in params})
 
 
 def builtin_names() -> tuple[str, ...]:
-    return (
-        "expectation",
-        "neg-expectation",
-        "entropic",
-        "avar",
-        "worst-case",
-        "supnorm-ball",
-        "open-ball",
-    )
+    return tuple(_BUILTINS)

@@ -16,6 +16,7 @@ every cell of the finest generated level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .measure import (
     RandomVariable,
     common_refinement,
     integrate,
-    pairing,
     refine,
 )
 from .orlicz import OrliczFunction, luxemburg_norm
@@ -45,6 +45,10 @@ __all__ = [
     "generate",
     "verify_norm_bounded",
 ]
+
+
+# distance from the limit above which a cell counts as visited in the a.e. check
+_AE_TOL = 1e-9
 
 
 class NotConvergent(ValueError):
@@ -239,17 +243,6 @@ class ExtractionResult:
     level: int
     ae_ok: bool
     failing_cells: tuple[int, ...]
-    tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "certificates": list(self.certificates),
-            "level": self.level,
-            "ae_verdict": "pass" if self.ae_ok else "fail",
-            "failing_cells": list(self.failing_cells),
-            "tol": self.tol,
-        }
 
 
 def extract_ae_subsequence(
@@ -257,7 +250,6 @@ def extract_ae_subsequence(
     phi_weight: RandomVariable | None,
     limit: RandomVariable | None,
     n_max: int,
-    tol: float = 1e-9,
 ) -> ExtractionResult:
     """Greedy extraction of a fast-converging subsequence, then an a.e. check.
 
@@ -267,7 +259,8 @@ def extract_ae_subsequence(
     taken.  If qualifying indices run out before the horizon is exhausted,
     the weighted distances are not tending to 0 and ExtractionStalled is
     raised.  Summability of the certificates is what forces almost
-    everywhere convergence; the verdict re-checks it cell by cell.
+    everywhere convergence; the verdict re-checks it cell by cell, where
+    a distance above 1e-9 counts as a visit.
     """
     if limit is None:
         limit = s.declared_limit
@@ -278,33 +271,44 @@ def extract_ae_subsequence(
     if not (phi_weight.array > 0.0).all():
         raise ValueError("phi_weight must be strictly positive at every point")
 
+    refined = {}  # element level -> the common space, and limit and weight values there
+
     def certificate(f: RandomVariable) -> float:
-        a, b = common_refinement(f, limit)
-        return pairing(RandomVariable(a.space, np.abs(a.array - b.array)), phi_weight)
+        """``pairing(|f - limit|, phi_weight)`` bit for bit, refining limit and weight once per level."""
+        if f.space.level not in refined:
+            _, lim = common_refinement(f, limit)
+            lim, weight = common_refinement(lim, phi_weight)
+            refined[f.space.level] = (lim.space, lim.array, weight.array)
+        space, lim, weight = refined[f.space.level]
+        if f.space != space:
+            f = refine(f, space.level)
+        return math.fsum((np.abs(f.array - lim) * weight * space.weight_array).tolist())
 
     indices: list[int] = []
     certificates: list[float] = []
+    chosen: list[RandomVariable] = []
     prev = 0
     k = 1
     while prev < n_max:
         bound = 2.0**-k
         pick = None
         for n in range(prev + 1, n_max + 1):
-            c = certificate(s.element(n))
+            f = s.element(n)
+            c = certificate(f)
             if c <= bound:
-                pick = (n, c)
+                pick = (n, c, f)
                 break
         if pick is None:
             raise ExtractionStalled(
                 f"no index in ({prev}, {n_max}] has certificate <= 2**-{k}; "
                 "the weighted distances do not tend to 0"
             )
-        prev, cert = pick
+        prev, cert, f = pick
         indices.append(prev)
         certificates.append(cert)
+        chosen.append(f)
         k += 1
 
-    chosen = [s.element(n) for n in indices]
     level = max(
         [limit.space.level or 0] + [f.space.level or 0 for f in chosen]
     )
@@ -314,12 +318,10 @@ def extract_ae_subsequence(
     )
     half = len(indices) // 2
     tail_rows = diffs[half:]
-    violations = (tail_rows > tol).sum(axis=0)
+    violations = (tail_rows > _AE_TOL).sum(axis=0)
     allowed = tail_rows.shape[0] / 2.0
     failing = tuple(int(c) for c in np.nonzero(violations > allowed)[0])
-    return ExtractionResult(
-        tuple(indices), tuple(certificates), level, not failing, failing, tol
-    )
+    return ExtractionResult(tuple(indices), tuple(certificates), level, not failing, failing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,9 +331,6 @@ class NormBoundReport:
     norms: tuple[float, ...]
     bound: float
     verdict: str  # "bounded" | "unbounded-evidence"
-
-    def to_dict(self) -> dict:
-        return {"norms": list(self.norms), "bound": self.bound, "verdict": self.verdict}
 
 
 def verify_norm_bounded(

@@ -43,8 +43,6 @@ __all__ = [
     "is_disjoint",
     "is_order_null",
     "is_uo_null",
-    "join",
-    "meet",
     "membership",
     "model_norm",
     "oc_part_membership",
@@ -407,29 +405,6 @@ class TailVector:
             tail = {"kind": "mixed", "c": t.const, "terms": [list(ar) for ar in t.terms]}
         return {"prefix": list(self.prefix), "tail": tail}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> TailVector:
-        tail = data.get("tail", {"kind": "zero"})
-        kind = tail.get("kind", "zero")
-        prefix = data.get("prefix", ())
-        if kind == "zero":
-            return cls.from_prefix(prefix)
-        if kind == "constant":
-            return cls.constant(tail["c"], prefix)
-        if kind == "geometric":
-            return cls.geometric(tail["a"], tail["r"], prefix)
-        if kind == "mixed":
-            return cls.make(prefix, Tail.make(tail.get("c", 0.0), tail.get("terms", ())))
-        raise ValueError(f"unknown tail kind {kind!r}")
-
-
-def meet(x: TailVector, y: TailVector) -> TailVector:
-    return x.meet(y)
-
-
-def join(x: TailVector, y: TailVector) -> TailVector:
-    return x.join(y)
-
 
 class SpaceModel(str, Enum):
     ELL1 = "ell1"
@@ -490,15 +465,6 @@ class UoNullVerdict:
     def is_null(self) -> bool:
         return self.verdict == "uo-null-evidence"
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness_coordinate": self.witness_coordinate,
-            "witness_value": self.witness_value,
-            "budget": self.budget,
-            "window": list(self.window),
-        }
-
 
 def is_uo_null(s: VectorSequence, m: SpaceModel, tol: float) -> UoNullVerdict:
     """Evidence that the sequence converges to 0 coordinate-by-coordinate.
@@ -543,15 +509,6 @@ class OrderNullVerdict:
     def is_null(self) -> bool:
         return self.verdict == "order-null-evidence"
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "uo": self.uo.to_dict(),
-            "tail_sup": None if self.tail_sup is None else self.tail_sup.to_json_dict(),
-            "sup_stabilized": self.sup_stabilized,
-            "sup_in_model": self.sup_in_model,
-        }
-
 
 def is_order_null(s: VectorSequence, m: SpaceModel, tol: float) -> OrderNullVerdict:
     """Order convergence to 0: coordinatewise null plus an order-bounded tail.
@@ -595,9 +552,6 @@ def is_order_null(s: VectorSequence, m: SpaceModel, tol: float) -> OrderNullVerd
 class DisjointVerdict:
     disjoint: bool
     witness: tuple[int, int] | None = None
-
-    def to_dict(self) -> dict:
-        return {"disjoint": self.disjoint, "witness": self.witness and list(self.witness)}
 
 
 def is_disjoint(s: VectorSequence) -> DisjointVerdict:
@@ -668,13 +622,6 @@ class OcPartVerdict:
     member: bool
     witness_blocks: tuple[TailVector, ...] = ()
     witness_norm_bound: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "witness_blocks": [b.to_json_dict() for b in self.witness_blocks],
-            "witness_norm_bound": self.witness_norm_bound,
-        }
 
 
 def oc_part_membership(x: TailVector, m: SpaceModel) -> OcPartVerdict:
@@ -811,7 +758,7 @@ def uo_dual_test(phi: TailVector, m: SpaceModel, budget: int, seed: int) -> UoDu
     """
     if budget < 100:
         raise ValueError("budget must be >= 100")
-    if m in (SpaceModel.C0, SpaceModel.ELL_INFTY) and model_norm(phi, SpaceModel.ELL1) == math.inf:
+    if m in (SpaceModel.C0, SpaceModel.ELL_INFTY) and not phi.tail.vanishes:
         raise FunctionalNotBounded(
             f"functional with non-vanishing tail is unbounded on the {m.value} unit ball"
         )

@@ -90,10 +90,6 @@ class ProbabilitySpace:
             raise ValueError("n must be >= 1")
         return cls(tuple(f"p{i}" for i in range(n)), (1.0 / n,) * n)
 
-    @classmethod
-    def weighted(cls, points: tuple[str, ...], weights: tuple[float, ...]) -> ProbabilitySpace:
-        return cls(tuple(points), tuple(float(w) for w in weights))
-
     @property
     def size(self) -> int:
         return len(self.points)
@@ -182,9 +178,6 @@ class RandomVariable:
             return RandomVariable(self.space, float(scalar) * self.array)
 
     __rmul__ = __mul__
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.array)))
 
 
 def integrate(f: RandomVariable) -> float:

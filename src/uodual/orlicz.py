@@ -329,9 +329,6 @@ class GrowthReport:
     ratios: tuple[float, ...]
     verdict: str  # increasing-unbounded-evidence | bounded-evidence | inconclusive
 
-    def to_dict(self) -> dict:
-        return {"probes": list(self.probes), "ratios": list(self.ratios), "verdict": self.verdict}
-
 
 def superlinear_growth(phi: OrliczFunction, probes) -> GrowthReport:
     """Grade the growth of phi(t)/t across the tail of the probe list.
@@ -372,15 +369,6 @@ class Delta2Report:
     ratio_max: float
     verdict: str
     note: str = "heuristic: the doubling condition concerns the limit t -> infinity"
-
-    def to_dict(self) -> dict:
-        return {
-            "probes": list(self.probes),
-            "ratios": list(self.ratios),
-            "ratio_max": self.ratio_max,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
 
 
 def delta2_report(phi: OrliczFunction, t_range: tuple[float, float], samples: int) -> Delta2Report:

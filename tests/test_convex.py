@@ -40,7 +40,7 @@ ZOO = [
     ("supnorm-ball", {"radius": 1.0}),
     ("open-ball", {"radius": 1.0}),
 ]
-SPACES = [SP1, ProbabilitySpace.dyadic(1), SP4, ProbabilitySpace.weighted(("a", "b", "c"), (0.5, 0.3, 0.2))]
+SPACES = [SP1, ProbabilitySpace.dyadic(1), SP4, ProbabilitySpace(("a", "b", "c"), (0.5, 0.3, 0.2))]
 
 
 def reference_value(name, params, f):

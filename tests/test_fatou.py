@@ -16,7 +16,14 @@ from uodual.fatou import (
     generate,
     verify_norm_bounded,
 )
-from uodual.measure import ProbabilitySpace, RandomVariable, integrate, refine
+from uodual.measure import (
+    ProbabilitySpace,
+    RandomVariable,
+    common_refinement,
+    integrate,
+    pairing,
+    refine,
+)
 from uodual.orlicz import OrliczFunction
 
 ZERO = RandomVariable.zero(ProbabilitySpace.dyadic(0))
@@ -232,6 +239,16 @@ class TestExtraction:
         w = RandomVariable.from_values(ProbabilitySpace.dyadic(1), [0.5, 1.5])
         res = extract_ae_subsequence(generate("typewriter"), w, ZERO, 64)
         assert all(c <= 2.0**-k for k, c in enumerate(res.certificates, start=1))
+
+    def test_certificates_match_pairing_bit_for_bit(self):
+        tw = generate("typewriter")
+        w = RandomVariable.from_values(ProbabilitySpace.dyadic(2), [0.25, 1.75, 0.5, 1.5])
+        lim = RandomVariable.from_values(ProbabilitySpace.dyadic(1), [0.0, 1e-3])
+        res = extract_ae_subsequence(tw, w, lim, 128)
+        for k, n in enumerate(res.indices, start=1):
+            f, g = common_refinement(tw.element(n), lim)
+            cert = pairing(RandomVariable(f.space, np.abs(f.array - g.array)), w)
+            assert cert.hex() == res.certificates[k - 1].hex()
 
     def test_certificates_recheckable_from_report(self):
         tw = generate("typewriter")

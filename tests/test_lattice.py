@@ -80,16 +80,19 @@ class TestTailCanonicalisation:
         x = TailVector.geometric(1.0, 0.5, prefix=(7.0,))
         assert [x.value(k) for k in range(1, 5)] == [7.0, 1.0, 0.5, 0.25]
 
-    def test_json_roundtrip_all_kinds(self):
-        vectors = [
-            TailVector.zero(),
-            TailVector.from_prefix([1.0, -2.0]),
-            TailVector.constant(3.0, (0.5,)),
-            TailVector.geometric(2.0, 0.25),
-            TailVector.constant(1.0) + TailVector.geometric(1.0, 0.5),
+    def test_json_dict_all_kinds(self):
+        cases = [
+            (TailVector.zero(), {"prefix": [], "tail": {"kind": "zero"}}),
+            (TailVector.from_prefix([1.0, -2.0]), {"prefix": [1.0, -2.0], "tail": {"kind": "zero"}}),
+            (TailVector.constant(3.0, (0.5,)), {"prefix": [0.5], "tail": {"kind": "constant", "c": 3.0}}),
+            (TailVector.geometric(2.0, 0.25), {"prefix": [], "tail": {"kind": "geometric", "a": 2.0, "r": 0.25}}),
+            (
+                TailVector.constant(1.0) + TailVector.geometric(1.0, 0.5),
+                {"prefix": [], "tail": {"kind": "mixed", "c": 1.0, "terms": [[1.0, 0.5]]}},
+            ),
         ]
-        for x in vectors:
-            assert TailVector.from_json_dict(x.to_json_dict()) == x
+        for x, expected in cases:
+            assert x.to_json_dict() == expected
 
 
 class TestEventualSign:
@@ -644,6 +647,15 @@ class TestUoDual:
             uo_dual_test(TailVector.ones(), SpaceModel.ELL_INFTY, 160, seed=0)
         with pytest.raises(FunctionalNotBounded):
             uo_dual_test(TailVector.constant(0.25), SpaceModel.C0, 160, seed=0)
+
+    def test_vanishing_tail_with_close_ratios_is_bounded(self):
+        # the tail vanishes, so the functional is bounded; settling the sign
+        # of its two nearly equal ratios would raise TailTooClose
+        phi = TailVector.make((), Tail.make(0.0, ((1.0, 0.1), (-1.0, 0.1 + 1e-16))))
+        with pytest.raises(TailTooClose):
+            model_norm(phi, SpaceModel.ELL1)
+        for model in SpaceModel:
+            assert uo_dual_test(phi, model, 160, seed=0).consistent, model
 
     def test_budget_validated(self):
         with pytest.raises(ValueError, match="budget"):

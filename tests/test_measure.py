@@ -118,11 +118,11 @@ class TestRandomVariable:
 
 class TestIntegrate:
     def test_zero_function(self):
-        sp = ProbabilitySpace.weighted(("a", "b", "c"), (0.2, 0.3, 0.5))
+        sp = ProbabilitySpace(("a", "b", "c"), (0.2, 0.3, 0.5))
         assert integrate(RandomVariable.zero(sp)) == 0.0
 
     def test_total_mass(self):
-        sp = ProbabilitySpace.weighted(("a", "b", "c"), (0.2, 0.3, 0.5))
+        sp = ProbabilitySpace(("a", "b", "c"), (0.2, 0.3, 0.5))
         assert integrate(RandomVariable.ones(sp)) == pytest.approx(1.0, abs=1e-15)
 
     def test_spike_has_unit_mass(self):
@@ -207,7 +207,7 @@ class TestPairing:
             sp = ProbabilitySpace.dyadic(int(rng.integers(0, 6)))
             f = RandomVariable.from_values(sp, rng.uniform(-4, 4, sp.size))
             g = RandomVariable.from_values(sp, rng.uniform(-4, 4, sp.size))
-            assert abs(pairing(f, g)) <= f.sup_abs() * integrate(g.abs()) + 1e-12
+            assert abs(pairing(f, g)) <= float(np.max(np.abs(f.array))) * integrate(g.abs()) + 1e-12
 
 
 @st.composite
@@ -295,4 +295,3 @@ class TestArrayMatchesTupleReference:
         assert bits((f - g).values) == bits(x - y for x, y in zip(a, b))
         assert bits((c * f).values) == bits(c * v for v in f.values)
         assert bits((f * c).values) == bits(c * v for v in f.values)
-        assert f.sup_abs() == max(abs(v) for v in f.values)

@@ -293,11 +293,6 @@ class TestGrowthDiagnostics:
         with pytest.raises(ValueError, match="increasing"):
             superlinear_growth(OrliczFunction.power(2), [1, 1, 2])
 
-    def test_report_dict_fields(self):
-        rep = superlinear_growth(OrliczFunction.power(2), [1, 2, 4])
-        data = rep.to_dict()
-        assert set(data) == {"probes", "ratios", "verdict"}
-
 
 class TestDelta2:
     def test_power_ratio_is_two_to_the_p(self):
