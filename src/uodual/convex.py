@@ -731,10 +731,15 @@ _BUILTINS = {
 def builtin(name: str, **params) -> ConvexFunctional:
     """Test zoo of convex functionals with closed-form conjugate oracles.
 
-    Parameters the named functional does not take are ignored.
+    A keyword that no builtin takes raises ValueError.  A keyword that
+    another builtin takes (``beta``, ``alpha``, ``radius``) is ignored, so
+    one parameter set can be passed to every functional.
     """
     if name not in _BUILTINS:
         raise UnknownName(f"no builtin functional named {name!r}")
+    unknown = sorted(set(params).difference(*(takes for _, takes in _BUILTINS.values())))
+    if unknown:
+        raise ValueError(f"no builtin functional takes {', '.join(map(repr, unknown))}")
     make, takes = _BUILTINS[name]
     return make(**{k: params[k] for k in takes if k in params})
 

@@ -2,15 +2,17 @@
 
 An Orlicz function is convex, nondecreasing, vanishes at 0 and is not
 identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
-is computed on a truncated s-range by a grid sweep refined by
+is computed on a truncated s-range.  Its grid maximum comes from the
+lower convex hull of the samples of phi and one ``searchsorted`` of t
+into the hull slopes (linear in the grid size), and is then refined by
 golden-section search (the objective is concave in s, so the refinement
 is exact up to bracket width).  The Luxemburg norm
 ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
 doubling/halving and then bisected; the upper bracket endpoint is
 returned, a conservative over-estimate of the infimum.
 
-Growth diagnostics (superlinearity, the doubling ratio phi(2t)/phi(t)) are
-evidence-graded heuristics: limits are not finitely decidable.
+The superlinear-growth diagnostic is an evidence-graded heuristic: a
+limit is not finitely decidable.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ __all__ = [
     "DomainExceeded",
     "GridTooCoarse",
     "GrowthReport",
-    "Delta2Report",
     "LuxemburgResult",
     "ModularDegenerate",
     "OrliczFunction",
-    "ZeroDenominator",
     "conjugate",
-    "delta2_report",
     "luxemburg_norm",
     "superlinear_growth",
     "young_gap",
@@ -53,10 +52,6 @@ class DomainExceeded(ValueError):
 
 class ModularDegenerate(RuntimeError):
     """The modular never straddles 1 over the probed scale range."""
-
-
-class ZeroDenominator(ValueError):
-    """phi vanishes at a probe where a ratio is required."""
 
 
 @dataclass(frozen=True)
@@ -185,17 +180,50 @@ class LuxemburgResult:
     modular_at_value: float
 
 
+def _lower_hull(x: list[float], y: list[float]) -> list[int]:
+    """Indices of the vertices of the lower convex hull of the points (x_k, y_k).
+
+    One monotone-chain pass over abscissae in increasing order; a point on
+    or above the chord of its neighbours is dropped, so the left end of a
+    collinear run stays a vertex.
+    """
+    hull: list[int] = []
+    for k, (xk, yk) in enumerate(zip(x, y)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (y[j] - y[i]) * (xk - x[i]) < (yk - y[i]) * (x[j] - x[i]):
+                break
+            hull.pop()
+        hull.append(k)
+    return hull
+
+
 def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int) -> np.ndarray:
     s_grid = np.linspace(0.0, s_max, grid_size + 1)
     phi_s = np.asarray(phi(s_grid))
-    # outer sweep (rows are t, columns are s), chunked to bound memory
-    arg = np.empty(t_grid.size, dtype=np.intp)
-    grid_best = np.empty(t_grid.size)
-    chunk = max(1, 8_000_000 // (grid_size + 1))
-    for i in range(0, t_grid.size, chunk):
-        rows = t_grid[i : i + chunk, None] * s_grid[None, :] - phi_s[None, :]
-        arg[i : i + chunk] = np.argmax(rows, axis=1)
-        grid_best[i : i + chunk] = np.max(rows, axis=1)
+    # The grid maximiser of t*s_k - phi_s[k] is the lower-hull vertex where
+    # the hull slopes first reach t (Lucet's linear-time Legendre transform).
+    # Each row is then evaluated as t*s_grid - phi_s over that vertex +-2
+    # grid points, widened to every vertex whose slope lies within rounding
+    # of t, so float ties (collinear runs) settle on the first index, as an
+    # argmax over every s_k would.
+    hull = np.array(_lower_hull(s_grid.tolist(), phi_s.tolist()))
+    slopes = np.maximum.accumulate(np.diff(phi_s[hull]) / np.diff(s_grid[hull]))
+    # slope band: t*s - phi rounds at about eps * (|phi| + |t| s_max), so a
+    # slope nearer t than that over one grid step can hide a float tie
+    tie = 1e-12 * (np.max(np.abs(phi_s)) + np.max(np.abs(t_grid)) * s_max) * grid_size / s_max
+    first = hull[np.searchsorted(slopes, t_grid - tie)]
+    last = hull[np.searchsorted(slopes, t_grid + tie, side="right")]
+    window = np.clip(first[:, None] + np.arange(-2, 3), 0, grid_size)
+    near = t_grid[:, None] * s_grid[window] - phi_s[window]
+    pick = (np.arange(t_grid.size), np.argmax(near, axis=1))
+    arg = window[pick]
+    grid_best = near[pick]
+    for i in np.flatnonzero(first != last):
+        a, b = max(first[i] - 2, 0), min(last[i] + 2, grid_size)
+        row = t_grid[i] * s_grid[a : b + 1] - phi_s[a : b + 1]
+        arg[i] = a + np.argmax(row)
+        grid_best[i] = row[arg[i] - a]
     lo = s_grid[np.maximum(arg - 1, 0)]
     hi = s_grid[np.minimum(arg + 1, grid_size)]
 
@@ -221,10 +249,12 @@ def conjugate(
 
     The supremum over all s >= 0 is truncated at ``s_max``; the returned
     sampled function is therefore trusted only for t up to roughly the
-    slope of phi at ``s_max`` (recorded as its domain cap).  Values are
-    grid maxima refined by golden-section search, recomputed on a doubled
-    grid; if the refinement moves any value by more than ``tol`` the sweep
-    is unstable and GridTooCoarse is raised.
+    slope of phi at ``s_max`` (recorded as its domain cap).  Each value is
+    the grid maximum, read off the lower convex hull of the samples of phi
+    by one ``searchsorted`` of t into the hull slopes, then refined by
+    golden-section search.  Everything is recomputed on a doubled grid; if
+    that moves any value by more than ``tol`` the grid is too coarse and
+    GridTooCoarse is raised.
     """
     if s_max <= 0:
         raise ValueError("s_max must be > 0")
@@ -358,36 +388,3 @@ def superlinear_growth(phi: OrliczFunction, probes) -> GrowthReport:
         else:
             verdict = "inconclusive"
     return GrowthReport(pr, ratios, verdict)
-
-
-@dataclass(frozen=True)
-class Delta2Report:
-    """Sampled sup of phi(2t)/phi(t); a heuristic, not a decision."""
-
-    probes: tuple[float, ...]
-    ratios: tuple[float, ...]
-    ratio_max: float
-    verdict: str
-    note: str = "heuristic: the doubling condition concerns the limit t -> infinity"
-
-
-def delta2_report(phi: OrliczFunction, t_range: tuple[float, float], samples: int) -> Delta2Report:
-    lo, hi = float(t_range[0]), float(t_range[1])
-    if lo <= 0 or hi <= lo:
-        raise ValueError("t_range must be positive and increasing")
-    if 2.0 * hi > phi.domain_cap:
-        raise DomainExceeded("2 * upper end of t_range exceeds the domain cap")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    probes = tuple(np.linspace(lo, hi, samples).tolist())
-    ratios = []
-    for t in probes:
-        denom = phi(t)
-        if denom == 0.0:
-            raise ZeroDenominator(f"phi({t:g}) = 0; ratio undefined")
-        ratios.append(phi(2.0 * t) / denom)
-    ratio_max = max(ratios)
-    tail = ratios[len(ratios) // 2 :]
-    growing = len(tail) >= 2 and tail[-1] > 2.0 * tail[0]
-    verdict = "unbounded-evidence" if growing or ratio_max > 1e3 else "bounded-evidence"
-    return Delta2Report(probes, tuple(ratios), ratio_max, verdict)

@@ -361,6 +361,19 @@ class TestBuiltins:
         with pytest.raises(UnknownName):
             builtin("nonsense")
 
+    def test_keyword_no_builtin_takes_is_rejected(self):
+        # a misspelt or retired keyword used to be dropped silently
+        with pytest.raises(ValueError, match="bata"):
+            builtin("entropic", bata=2.0)
+        with pytest.raises(ValueError, match="open"):
+            builtin("supnorm-ball", open=True)
+
+    def test_keyword_another_builtin_takes_is_ignored(self):
+        shared = {"beta": 2.0, "alpha": 0.25, "radius": 3.0}
+        assert builtin("expectation", **shared).name == builtin("expectation").name
+        assert builtin("avar", **shared).name == builtin("avar", alpha=0.25).name
+        assert builtin("open-ball", **shared).name == builtin("open-ball", radius=3.0).name
+
     def test_expectation_of_constants(self):
         assert builtin("expectation").evaluate(RandomVariable.constant(SP4, 3.5)) == pytest.approx(3.5)
 

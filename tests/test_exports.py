@@ -7,6 +7,7 @@ MODULES = ["uodual"] + [f"uodual.{m}" for m in ("cli", "convex", "fatou", "latti
 # public names that were deleted; none may come back through __all__
 DELETED = {
     "uodual.lattice": ("meet", "join"),
+    "uodual.orlicz": ("delta2_report", "Delta2Report", "ZeroDenominator"),
 }
 
 

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uodual import orlicz
+from uodual.convex import golden_section_max
 from uodual.measure import ProbabilitySpace, RandomVariable, integrate, pairing
 from uodual.orlicz import (
     DomainExceeded,
     GridTooCoarse,
     ModularDegenerate,
     OrliczFunction,
-    ZeroDenominator,
     conjugate,
-    delta2_report,
     luxemburg_norm,
     superlinear_growth,
     young_gap,
@@ -22,6 +24,34 @@ def brute_conjugate(phi, t, s_max, n=1_000_000):
     """Independent oracle: plain sup of s*t - phi(s) over a dense s-grid."""
     s = np.linspace(0.0, s_max, n)
     return float(np.max(s * t - np.asarray(phi(s))))
+
+
+def _dense_conjugate_values(phi, t_grid, s_max, grid_size):
+    """Reference for ``orlicz._conjugate_values``: the dense (t x s) sweep.
+
+    Every row is read at every grid point, in chunks that bound memory; the
+    refinement after the grid maximum is the program's.
+    """
+    s_grid = np.linspace(0.0, s_max, grid_size + 1)
+    phi_s = np.asarray(phi(s_grid))
+    arg = np.empty(t_grid.size, dtype=np.intp)
+    grid_best = np.empty(t_grid.size)
+    chunk = max(1, 8_000_000 // (grid_size + 1))
+    for i in range(0, t_grid.size, chunk):
+        rows = t_grid[i : i + chunk, None] * s_grid[None, :] - phi_s[None, :]
+        arg[i : i + chunk] = np.argmax(rows, axis=1)
+        grid_best[i : i + chunk] = np.max(rows, axis=1)
+    lo = s_grid[np.maximum(arg - 1, 0)]
+    hi = s_grid[np.minimum(arg + 1, grid_size)]
+
+    def objective(rows, s_vals):
+        return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
+
+    _, refined = golden_section_max(objective, lo, hi, 80)
+    values = np.maximum(refined, grid_best)
+    values = np.maximum(values, 0.0)
+    values[0] = 0.0
+    return values
 
 
 class TestOrliczFunction:
@@ -134,6 +164,74 @@ class TestConjugate:
             back = conjugate(psi, psi.domain_cap, 1024)
             for s in np.linspace(0.25, 2.0, 50):
                 assert abs(back(s) - phi(s)) <= 1e-4, phi.describe()
+
+    @pytest.mark.parametrize("grid", [256, 1024])
+    @pytest.mark.parametrize(
+        "phi, s_max",
+        [
+            (OrliczFunction.power(1.5, 0.7), 8.0),
+            (OrliczFunction.power(2.0), 8.0),
+            (OrliczFunction.power(3.0, 1 / 3), 6.0),
+            (OrliczFunction.exponential(1.3), 3.0),
+        ],
+        ids=["p1.5", "p2", "p3", "exp"],
+    )
+    def test_matches_dense_sweep_bit_for_bit(self, monkeypatch, phi, s_max, grid):
+        psi = conjugate(phi, s_max, grid)
+        monkeypatch.setattr(orlicz, "_conjugate_values", _dense_conjugate_values)
+        ref = conjugate(phi, s_max, grid)
+        assert np.array(psi.grid_s).tobytes() == np.array(ref.grid_s).tobytes()
+        assert np.array(psi.grid_y).tobytes() == np.array(ref.grid_y).tobytes()
+        assert psi.domain_cap == ref.domain_cap
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        knots=st.lists(
+            st.tuples(st.floats(0.05, 3.0), st.floats(-5.0, 20.0)), min_size=1, max_size=10
+        ),
+        s_max=st.floats(0.5, 25.0),
+        grid_size=st.integers(64, 400),
+        t_range=st.tuples(st.floats(-4.0, 0.0), st.floats(0.0, 8.0)),
+        t_count=st.integers(1, 300),
+    )
+    def test_nonconvex_grid_maximum_matches_dense_sweep(self, knots, s_max, grid_size, t_range, t_count):
+        # validation bypassed: the samples of phi need not be convex or
+        # monotone, so the grid maximiser is a vertex of their lower hull
+        # and not the point where the sample slopes cross t
+        s = np.concatenate([[0.0], np.cumsum([dx for dx, _ in knots])])
+        y = [0.0] + [v for _, v in knots]
+        phi = OrliczFunction.sampled(s, y, validate=False)
+        t_grid = np.linspace(*t_range, t_count)
+        got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size)
+        want = _dense_conjugate_values(phi, t_grid, s_max, grid_size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_collinear_ties_settle_on_the_first_index(self):
+        # t equal to the slope of a linear piece ties every grid point of
+        # that piece up to rounding; the dense argmax picks the first of
+        # the float maxima, which can lie far from either end of the piece
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            s = np.unique(np.concatenate([[0.0], rng.integers(1, 20, 4).astype(float)]))
+            slopes = np.sort(rng.integers(0, 6, s.size - 1)).astype(float) / rng.choice([1, 3, 4])
+            phi = OrliczFunction.sampled(s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))]), validate=False)
+            t_grid = np.unique(np.concatenate([slopes, slopes + 1e-15, np.linspace(0.0, slopes[-1] + 1, 40)]))
+            grid_size = int(rng.integers(64, 600))
+            s_max = float(s[-1] + rng.uniform(0.0, 3.0))
+            got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size)
+            want = _dense_conjugate_values(phi, t_grid, s_max, grid_size)
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_is_linear_in_the_grid(self):
+        # the dense sweep peaked at 184 MB here (its chunk buffer)
+        phi = OrliczFunction.power(2.0)
+        tracemalloc.start()
+        try:
+            conjugate(phi, 8.0, 8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_grid_size_validated(self):
         with pytest.raises(ValueError, match="grid_size"):
@@ -292,27 +390,3 @@ class TestGrowthDiagnostics:
     def test_probes_validated(self):
         with pytest.raises(ValueError, match="increasing"):
             superlinear_growth(OrliczFunction.power(2), [1, 1, 2])
-
-
-class TestDelta2:
-    def test_power_ratio_is_two_to_the_p(self):
-        for p in (1.0, 1.5, 2.0, 3.0):
-            ratio = delta2_report(OrliczFunction.power(p), (0.5, 8.0), 20).ratio_max
-            assert ratio == pytest.approx(2.0**p, rel=1e-12)
-
-    def test_exponential_ratio_explodes(self):
-        rep = delta2_report(OrliczFunction.exponential(), (1.0, 20.0), 30)
-        assert rep.ratio_max > 1e3
-        assert rep.verdict == "unbounded-evidence"
-        assert "heuristic" in rep.note
-
-    def test_zero_denominator_reported(self):
-        flat_then_rise = OrliczFunction.sampled([0, 1, 2], [0, 0, 1])
-        with pytest.raises(ZeroDenominator):
-            delta2_report(flat_then_rise, (0.25, 0.5), 4)
-
-    def test_range_validated(self):
-        with pytest.raises(ValueError, match="t_range"):
-            delta2_report(OrliczFunction.power(2), (2.0, 1.0), 4)
-        with pytest.raises(DomainExceeded):
-            delta2_report(OrliczFunction.exponential(), (1.0, 600.0), 4)
