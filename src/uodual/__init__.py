@@ -35,13 +35,7 @@ from .lattice import (
     uo_dual_test,
 )
 from .measure import ProbabilitySpace, RandomVariable, integrate, pairing, refine
-from .orlicz import (
-    OrliczFunction,
-    conjugate,
-    luxemburg_norm,
-    superlinear_growth,
-    young_gap,
-)
+from .orlicz import OrliczFunction, conjugate, luxemburg_norm
 
 __all__ = [
     "ConjugateField",
@@ -73,9 +67,7 @@ __all__ = [
     "oc_part_membership",
     "pairing",
     "refine",
-    "superlinear_growth",
     "uo_dual_expected",
     "uo_dual_test",
     "verify_norm_bounded",
-    "young_gap",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ class EmptyDualGrid(ValueError):
 
 
 class UnknownName(ValueError):
-    """No builtin functional with that name."""
+    """No builtin functional or sequence generator with that name."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,9 +453,6 @@ class ConjugateField:
         values = np.array([math.inf if cv.possibly_infinite else cv.value for cv in reports])
         return cls(space, matrix, values, flags, tuple(reports))
 
-    def dual_point(self, i: int) -> RandomVariable:
-        return RandomVariable.from_values(self.space, self.dual_matrix[i])
-
     def __len__(self) -> int:
         return self.dual_matrix.shape[0]
 
@@ -545,28 +543,29 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
     """All densities on the space whose values are multiples of ``step``.
 
     A density g satisfies g >= 0 and E[g] = 1.  Only spaces with equal
-    weights are supported; the lattice grows combinatorially, so the cell
-    count times 1/step must stay modest.
+    weights are supported.  The densities are the ways to share
+    ``units = 1 / (step * weight)`` steps among the n cells, C(units + n - 1,
+    n - 1) of them, listed in lexicographic order of the cell counts; a
+    lattice of more than 2,000,000 points raises ValueError before any is
+    built.
     """
     n = space.size
     w = space.weights[0]
     if any(wi != w for wi in space.weights):
         raise ValueError("density lattices need equal weights")
+    if not step > 0:
+        raise ValueError("step must be > 0")
     units = round(1.0 / (step * w))
     if abs(units * step * w - 1.0) > 1e-9:
         raise ValueError("step must divide the total mass")
-    out: list[RandomVariable] = []
-
-    def emit(prefix, remaining, cells_left):
-        if cells_left == 1:
-            out.append(RandomVariable.from_values(space, prefix + [remaining * step]))
-            return
-        for c in range(remaining + 1):
-            emit(prefix + [c * step], remaining - c, cells_left - 1)
-
-    emit([], units, n)
-    if len(out) > 2_000_000:  # pragma: no cover - guarded by callers
+    if math.comb(units + n - 1, n - 1) > 2_000_000:
         raise ValueError("density lattice too large")
+    out: list[RandomVariable] = []
+    # stars and bars: n - 1 bars among units + n - 1 slots; cell counts are the gaps
+    for bars in itertools.combinations(range(units + n - 1), n - 1):
+        edges = (-1, *bars, units + n - 1)
+        counts = [b - a - 1 for a, b in zip(edges, edges[1:])]
+        out.append(RandomVariable.from_values(space, [c * step for c in counts]))
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexFunctional
+from .convex import ConvexFunctional, UnknownName
 from .measure import (
     ProbabilitySpace,
     RandomVariable,
@@ -49,6 +49,8 @@ __all__ = [
 
 # distance from the limit above which a cell counts as visited in the a.e. check
 _AE_TOL = 1e-9
+# L1 norm above which an element breaks the norm-boundedness hypothesis of the lsc check
+_NORM_BOUND = 1e6
 
 
 class NotConvergent(ValueError):
@@ -63,23 +65,18 @@ class ExtractionStalled(RuntimeError):
     """No remaining index meets the current certificate bound."""
 
 
-class UnknownName(ValueError):
-    """No generator with that name."""
-
-
 @dataclass(frozen=True, eq=False)
 class TestSequence:
     """A sequence of random variables on dyadic spaces, 1-indexed.
 
     ``generator`` must return element n on a space of level at least
-    ceil(log2 n).  ``ae_convergent`` records what is known about almost
-    everywhere convergence of the full sequence (None when unknown).
+    ceil(log2 n).  ``declared_limit`` is None for a sequence with no
+    almost everywhere limit.
     """
 
     name: str
     generator: callable
     declared_limit: RandomVariable | None = None
-    ae_convergent: bool | None = None
 
     def element(self, n: int) -> RandomVariable:
         if n < 1:
@@ -141,17 +138,17 @@ def generate(name: str, limit_value: RandomVariable | None = None) -> TestSequen
     """Canonical test sequences by name.
 
     spike       n * 1_[0,1/n]; limit 0, L1 norm exactly 1.
-    typewriter  sweeping indicator blocks; no a.e. limit (flagged).
-    oscillating (-1)^n * 1_[0,1/2]; no a.e. limit (flagged).
+    typewriter  sweeping indicator blocks; no a.e. limit (no declared limit).
+    oscillating (-1)^n * 1_[0,1/2]; no a.e. limit (no declared limit).
     constant    constant sequence equal to ``limit_value``.
     """
     zero = RandomVariable.zero(ProbabilitySpace.dyadic(0))
     if name == "spike":
-        return TestSequence("spike", _spike_element, zero, ae_convergent=True)
+        return TestSequence("spike", _spike_element, zero)
     if name == "typewriter":
-        return TestSequence("typewriter", _typewriter_element, None, ae_convergent=False)
+        return TestSequence("typewriter", _typewriter_element)
     if name == "oscillating":
-        return TestSequence("oscillating", _oscillating_element, None, ae_convergent=False)
+        return TestSequence("oscillating", _oscillating_element)
     if name == "constant":
         if limit_value is None:
             raise ValueError("constant sequence needs limit_value")
@@ -162,7 +159,7 @@ def generate(name: str, limit_value: RandomVariable | None = None) -> TestSequen
                 return refine(f, _level(n))
             return f
 
-        return TestSequence("constant", element, f, ae_convergent=True)
+        return TestSequence("constant", element, f)
     raise UnknownName(f"no sequence generator named {name!r}")
 
 
@@ -199,15 +196,14 @@ def check_bounded_uo_lsc(
     s: TestSequence,
     n_max: int,
     tol: float,
-    norm_bound: float = 1e6,
 ) -> LscReport:
     """Test rho(limit) <= liminf rho(f_n) along a norm-bounded sequence.
 
     The liminf at a finite horizon is estimated as the minimum over the
     last half of the evaluated indices; tol separates a genuine violation
     from estimation noise.  The L1 norms of the elements must stay below
-    ``norm_bound``, otherwise the boundedness hypothesis fails and the
-    comparison would be meaningless.
+    1e6, otherwise the boundedness hypothesis fails (NotNormBounded) and
+    the comparison would be meaningless.
     """
     if n_max < 16:
         raise ValueError("n_max must be >= 16")
@@ -217,8 +213,8 @@ def check_bounded_uo_lsc(
     for n in range(1, n_max + 1):
         f = s.element(n)
         l1 = integrate(f.abs())
-        if l1 > norm_bound:
-            raise NotNormBounded(f"element {n} has L1 norm {l1:g} > bound {norm_bound:g}")
+        if l1 > _NORM_BOUND:
+            raise NotNormBounded(f"element {n} has L1 norm {l1:g} > bound {_NORM_BOUND:g}")
         values.append(rho.evaluate(f))
     liminf = min(values[n_max // 2 :])
     at_limit = rho.evaluate(s.declared_limit)

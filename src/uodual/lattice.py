@@ -167,15 +167,6 @@ class Tail:
             return Tail()
         return Tail.make(c * self.const, ((c * a, r) for a, r in self.terms))
 
-    def mul(self, other: Tail) -> Tail:
-        terms = []
-        terms.extend((self.const * a, r) for a, r in other.terms)
-        terms.extend((other.const * a, r) for a, r in self.terms)
-        terms.extend(
-            (a1 * a2, r1 * r2) for a1, r1 in self.terms for a2, r2 in other.terms
-        )
-        return Tail.make(self.const * other.const, terms)
-
 
 def eventual_sign(tail: Tail) -> tuple[int, int]:
     """Conservative offset J and sign s with sign(tail(j)) = s for all j >= J.
@@ -224,13 +215,6 @@ def _tail_abs_sum(tail: Tail) -> float:
     head = math.fsum(abs(tail.value(j)) for j in range(J))
     rest = s * math.fsum(a * r**J / (1.0 - r) for a, r in tail.terms)
     return head + rest
-
-
-def _tail_signed_sum(tail: Tail) -> float:
-    """Sum of tail(j) over all offsets, as an extended real."""
-    if tail.const != 0.0:
-        return math.copysign(math.inf, tail.const)
-    return math.fsum(a / (1.0 - r) for a, r in tail.terms)
 
 
 def _tail_abs_sup(tail: Tail) -> float:
@@ -367,29 +351,24 @@ class TailVector:
         tail = self.tail.shift(J)
         return TailVector.make(head, tail if s >= 0 else tail.neg())
 
-    def meet(self, other: TailVector) -> TailVector:
-        """Pointwise minimum, exact via the sign split of the difference."""
+    def _split(self, other: TailVector, pick, keep: int) -> TailVector:
+        """Pointwise ``pick``, exact via the sign split of the difference.
+
+        Past the offset J where x - y keeps the sign s, x's tail is kept when
+        s * keep >= 0 (keep is -1 for np.minimum, +1 for np.maximum).
+        """
         n, _, _, tx, ty = self._aligned(other)
         J, s = eventual_sign(tx.add(ty.neg()))
-        total = n + J
-        head = np.minimum(self.head(total), other.head(total))
-        tail = tx.shift(J) if s <= 0 else ty.shift(J)
-        return TailVector.make(head, tail)
+        head = pick(self.head(n + J), other.head(n + J))
+        return TailVector.make(head, (tx if s * keep >= 0 else ty).shift(J))
+
+    def meet(self, other: TailVector) -> TailVector:
+        """Pointwise minimum."""
+        return self._split(other, np.minimum, -1)
 
     def join(self, other: TailVector) -> TailVector:
         """Pointwise maximum."""
-        n, _, _, tx, ty = self._aligned(other)
-        J, s = eventual_sign(tx.add(ty.neg()))
-        total = n + J
-        head = np.maximum(self.head(total), other.head(total))
-        tail = tx.shift(J) if s >= 0 else ty.shift(J)
-        return TailVector.make(head, tail)
-
-    def dot(self, other: TailVector) -> float:
-        """Coordinatewise pairing sum_k x_k y_k, as an extended real."""
-        n, px, py, tx, ty = self._aligned(other)
-        head = math.fsum(float(a) * float(b) for a, b in zip(px, py))
-        return head + _tail_signed_sum(tx.mul(ty))
+        return self._split(other, np.maximum, 1)
 
     # -- serialisation -------------------------------------------------------
 

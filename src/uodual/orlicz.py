@@ -10,9 +10,6 @@ is exact up to bracket width).  The Luxemburg norm
 ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
 doubling/halving and then bisected; the upper bracket endpoint is
 returned, a conservative over-estimate of the infimum.
-
-The superlinear-growth diagnostic is an evidence-graded heuristic: a
-limit is not finitely decidable.
 """
 
 from __future__ import annotations
@@ -29,14 +26,11 @@ from .measure import RandomVariable
 __all__ = [
     "DomainExceeded",
     "GridTooCoarse",
-    "GrowthReport",
     "LuxemburgResult",
     "ModularDegenerate",
     "OrliczFunction",
     "conjugate",
     "luxemburg_norm",
-    "superlinear_growth",
-    "young_gap",
 ]
 
 _CONVEXITY_TOL = 1e-9
@@ -279,22 +273,6 @@ def conjugate(
     return OrliczFunction.sampled(fine_t, fine, domain_cap=t_max)
 
 
-def young_gap(phi: OrliczFunction, psi: OrliczFunction, s: float, t: float) -> float:
-    """Slack phi(s) + psi(t) - s*t of the conjugacy inequality.
-
-    Nonnegative (within numerical error) whenever psi is the conjugate of
-    phi and both arguments are inside the trusted domains.
-    """
-    if s < 0 or t < 0:
-        raise DomainExceeded("arguments must be nonnegative")
-    if s > phi.domain_cap or t > psi.domain_cap:
-        raise DomainExceeded(
-            f"(s={s:g}, t={t:g}) exceeds domain caps "
-            f"({phi.domain_cap:g}, {psi.domain_cap:g})"
-        )
-    return phi(s) + psi(t) - s * t
-
-
 def _modular(abs_values: np.ndarray, weights: np.ndarray, phi: OrliczFunction, lam: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(phi(abs_values / lam))
@@ -334,9 +312,9 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
         lo = lam
         for _ in range(1200):
             lo /= 2.0
-            if lo == 0.0 or _modular(abs_values, weights, phi, lo) > 1.0:
+            if lo > 0.0 and _modular(abs_values, weights, phi, lo) > 1.0:
                 break
-        if lo == 0.0 or _modular(abs_values, weights, phi, lo) <= 1.0:
+        else:
             raise ModularDegenerate(
                 "modular is <= 1 for every probed scale; phi vanishes on the range of |f|/lam"
             )
@@ -349,42 +327,3 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
         else:
             hi = mid
     return LuxemburgResult(hi, (lo, hi), _modular(abs_values, weights, phi, hi))
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Evidence about lim phi(t)/t: the ratios and a graded verdict."""
-
-    probes: tuple[float, ...]
-    ratios: tuple[float, ...]
-    verdict: str  # increasing-unbounded-evidence | bounded-evidence | inconclusive
-
-
-def superlinear_growth(phi: OrliczFunction, probes) -> GrowthReport:
-    """Grade the growth of phi(t)/t across the tail of the probe list.
-
-    Flat ratios over the last half of the probes are evidence of linear
-    (bounded) growth, strictly increasing ratios evidence of superlinear
-    growth; anything else is inconclusive.
-    """
-    pr = tuple(float(t) for t in probes)
-    if any(b <= a for a, b in zip(pr, pr[1:])) or not pr:
-        raise ValueError("probes must be strictly increasing and nonempty")
-    if pr[0] <= 0:
-        raise ValueError("probes must be positive")
-    if pr[-1] > phi.domain_cap:
-        raise DomainExceeded("largest probe exceeds the domain cap")
-    ratios = tuple(phi(t) / t for t in pr)
-    tail = ratios[len(ratios) // 2 :]
-    if len(tail) < 2:
-        verdict = "inconclusive"
-    else:
-        flat = all(abs(b - a) <= 1e-9 * max(1.0, abs(a)) for a, b in zip(tail, tail[1:]))
-        increasing = all(b > a * (1.0 + 1e-9) + 1e-15 for a, b in zip(tail, tail[1:]))
-        if flat:
-            verdict = "bounded-evidence"
-        elif increasing:
-            verdict = "increasing-unbounded-evidence"
-        else:
-            verdict = "inconclusive"
-    return GrowthReport(pr, ratios, verdict)

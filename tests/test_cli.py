@@ -149,6 +149,11 @@ class TestCliProcess:
         assert proc.returncode == 1
         assert "config error" in proc.stderr
 
+    def test_unknown_sequence_is_config_error(self):
+        proc = run_cli(["fatou", "--seq", "nope"])
+        assert proc.returncode == 1
+        assert "uodual: config error: seq:" in proc.stderr
+
     def test_exit_code_one_on_runtime_error(self):
         # typewriter has no declared limit: the lsc check cannot run
         proc = run_cli(["fatou", "--rho", "expectation", "--seq", "typewriter"])

@@ -491,3 +491,34 @@ class TestLattices:
     def test_density_lattice_step_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
             density_lattice(SP4, 0.3)
+
+    @pytest.mark.parametrize("level, step", [(0, 1.0), (1, 0.5), (2, 1.0), (2, 0.5), (2, 0.25), (3, 1.0)])
+    def test_density_lattice_matches_recursive_enumeration(self, level, step):
+        space = ProbabilitySpace.dyadic(level)
+        units = round(space.size / step)
+        expected = []
+
+        def emit(prefix, remaining, cells_left):
+            if cells_left == 1:
+                expected.append(prefix + [remaining * step])
+                return
+            for c in range(remaining + 1):
+                emit(prefix + [c * step], remaining - c, cells_left - 1)
+
+        emit([], units, space.size)
+        assert [list(g.values) for g in density_lattice(space, step)] == expected
+
+    @pytest.mark.parametrize("level, step", [(2, 0.01), (5, 0.5)])
+    def test_oversized_density_lattice_raises_before_building(self, level, step, monkeypatch):
+        # C(403, 3) = 10,827,401 and C(95, 31) ~ 1e25 points: the count is
+        # checked before the first RandomVariable is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice point was built")
+
+        monkeypatch.setattr(convex.RandomVariable, "from_values", refuse)
+        with pytest.raises(ValueError, match="too large"):
+            density_lattice(ProbabilitySpace.dyadic(level), step)
+
+    def test_density_lattice_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="> 0"):
+            density_lattice(SP4, -0.5)

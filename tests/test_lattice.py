@@ -158,8 +158,9 @@ def close_ratio_tails(draw):
     """Tails whose ratios nearly coincide, directly or through products.
 
     Either two ratios a relative gap apart (down to neighbouring floats),
-    or a product of two tails, as ``Tail.mul`` builds them for ``dot``,
-    plus a term at the decimal rounding of the product ratio.
+    or the product of a geometric tail (a, r1) with a tail c + (b, r2),
+    which has the terms (c*a, r1) and (a*b, r1*r2), plus a term at the
+    decimal rounding of the product ratio.
     """
     a, b = draw(st.sampled_from(COEFFICIENTS)), draw(st.sampled_from(COEFFICIENTS))
     if draw(st.booleans()):
@@ -170,7 +171,7 @@ def close_ratio_tails(draw):
         return Tail.make(const, ((a, r), (b, s)))
     r1, r2 = (draw(st.sampled_from((0.1, 0.2, 0.3, 0.6, 0.7, 0.9))) for _ in range(2))
     c = draw(st.sampled_from((0.0, 1.0)))
-    product = Tail.make(0.0, ((a, r1),)).mul(Tail.make(c, ((b, r2),)))
+    product = Tail.make(0.0, ((c * a, r1), (a * b, r1 * r2)))
     return product.add(Tail.make(0.0, ((draw(st.sampled_from(COEFFICIENTS)), round(r1 * r2, 12)),)))
 
 
@@ -320,17 +321,6 @@ class TestLatticeOps:
         assert x.join(y) == y.join(x)
         assert x.meet(y) + x.join(y) == x + y
 
-    @settings(max_examples=40, deadline=None)
-    @given(x=tail_vectors(), y=tail_vectors())
-    def test_dot_matches_truncation_when_summable(self, x, y):
-        d = x.dot(y)
-        prod_const = x.tail.mul(y.tail).const
-        if prod_const != 0.0:
-            assert math.isinf(d)
-        else:
-            approx = float(np.dot(truncated(x), truncated(y)))
-            assert d == pytest.approx(approx, abs=1e-8)
-
 
 # tails for disjointness: constant, geometric, two-term tails that cross 0
 # (the first is 0 at offset 1), and a mixed tail that is 0 at offset 0
@@ -347,12 +337,12 @@ SPARSE_TAILS = (
 # non-dyadic tails whose |x| has a zero folded into its tail: the exact
 # float sum of the tail is 0 there, while head's running sum, which meet
 # reads, lands just above 0 (the first, at coordinate 2) or just below 0
-# (the second, at coordinate 1); and a product of two tails as Tail.mul
-# builds them for dot
+# (the second, at coordinate 1); and the product of the tails
+# 0.3 + (-0.7, 0.6) and 1.1 + (0.2, 0.45), written out term by term
 FOLDED_TAILS = (
     Tail.make(0.33, ((-1.3, 0.3), (0.3, 0.2))),
     Tail.make(0.2, ((-0.1, 0.3), (-0.1, 0.2))),
-    Tail.make(0.3, ((-0.7, 0.6),)).mul(Tail.make(1.1, ((0.2, 0.45),))),
+    Tail.make(0.3 * 1.1, ((0.3 * 0.2, 0.45), (1.1 * -0.7, 0.6), (-0.7 * 0.2, 0.6 * 0.45))),
 )
 
 
