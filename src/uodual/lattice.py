@@ -345,11 +345,18 @@ class TailVector:
         return self * -1.0
 
     def __abs__(self) -> TailVector:
+        """Pointwise |x|, equal to abs of each coordinate on the prefix.
+
+        Only the J tail coordinates expanded to settle the tail's sign may
+        fold back into the tail.  Folding past the tail's start would
+        rescale its coefficients by 1/r and move later coordinates by an
+        ulp for non-dyadic ratios, so |x| may keep a prefix entry that
+        its tail could absorb.
+        """
         J, s = eventual_sign(self.tail)
-        n = len(self.prefix) + J
-        head = np.abs(self.head(n))
         tail = self.tail.shift(J)
-        return TailVector.make(head, tail if s >= 0 else tail.neg())
+        expanded = TailVector.make(np.abs(self.tail.values(J)), tail if s >= 0 else tail.neg())
+        return TailVector(tuple(abs(v) for v in self.prefix) + expanded.prefix, expanded.tail)
 
     def _split(self, other: TailVector, pick, keep: int) -> TailVector:
         """Pointwise ``pick``, exact via the sign split of the difference.

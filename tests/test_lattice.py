@@ -259,6 +259,13 @@ class TestLatticeOps:
     def test_abs_of_finite_vector(self):
         assert abs(TailVector.from_prefix([-1.0, 2.0])) == TailVector.from_prefix([1.0, 2.0])
 
+    def test_abs_keeps_prefix_its_tail_could_absorb(self):
+        # |x| = (2, 1.5, 1.125, ...) is geometric(2, 0.75); folding the 2
+        # would rescale the tail and move coordinates from 35 on by an ulp
+        x = TailVector.geometric(-1.5, 0.75, prefix=(2.0,))
+        assert abs(x).prefix == (2.0,)
+        assert np.array_equal(truncated(abs(x), 200), np.abs(truncated(x, 200)))
+
     def test_mixed_tail_sums_are_exact(self):
         x = TailVector.constant(1.0)
         y = TailVector.geometric(4.0, 0.5)
