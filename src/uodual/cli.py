@@ -115,7 +115,8 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Parse command-line flags, merging an optional JSON config file.
 
     Precedence: built-in defaults, then config-file values, then explicit
-    flags.  Malformed JSON raises ConfigInvalid naming the byte offset.
+    flags.  Malformed JSON raises ConfigInvalid naming the byte offset; a
+    float field that is NaN or infinite raises ConfigInvalid naming the field.
     """
     parser = argparse.ArgumentParser(
         prog="uodual",
@@ -164,6 +165,8 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
         flag_value = getattr(ns, key)
         if flag_value is not None:
             value = flag_value
+        if typ is float and not math.isfinite(value):
+            raise ConfigInvalid(f"config field {key!r}: must be finite, got {value!r}")
         params[key] = value
     unknown = set(file_values) - set(schema) - {"seed", "out", "command"}
     if unknown:

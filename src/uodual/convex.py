@@ -619,7 +619,7 @@ def _neg_expectation() -> ConvexFunctional:
 
 
 def _entropic(beta: float = 1.0) -> ConvexFunctional:
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be > 0")
 
     def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
@@ -694,7 +694,7 @@ def _worst_case() -> ConvexFunctional:
 
 
 def _supnorm_ball(open_ball: bool, radius: float = 1.0) -> ConvexFunctional:
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be > 0")
 
     def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:

@@ -205,48 +205,18 @@ def eventual_sign(tail: Tail) -> tuple[int, int]:
     return J, _sign(a0)
 
 
-def _tail_abs_sum(tail: Tail) -> float:
-    """Sum of |tail(j)| over all offsets; infinite iff the constant part is nonzero."""
-    if tail.is_zero:
-        return 0.0
-    if tail.const != 0.0:
-        return math.inf
-    J, s = eventual_sign(tail)
-    head = math.fsum(abs(tail.value(j)) for j in range(J))
-    rest = s * math.fsum(a * r**J / (1.0 - r) for a, r in tail.terms)
-    return head + rest
-
-
-def _tail_abs_sup(tail: Tail) -> float:
-    """Supremum of |tail(j)| over all offsets (possibly approached, not attained)."""
-    if not tail.terms:
-        return abs(tail.const)
-    J, s = eventual_sign(tail)
-    best = max((abs(tail.value(j)) for j in range(J)), default=0.0)
-    limit = s * tail.const
-    j = J
-    while True:
-        val = s * tail.value(j)
-        if val > best:
-            best = val
-        envelope = limit + math.fsum(max(s * a, 0.0) * r**j for a, r in tail.terms)
-        if envelope <= best or envelope - limit <= 1e-15 * max(1.0, limit):
-            break
-        j += 1
-        _bounded_offset(j - J)
-    return max(best, limit)
-
-
 @dataclass(frozen=True)
 class TailVector:
     """Sequence-space element: finite prefix plus symbolic tail.
 
     Coordinate k (1-indexed) is prefix[k-1] for k <= len(prefix) and
     tail(k - len(prefix) - 1) beyond, so the first tail coordinate of a
-    geometric tail equals its coefficient.  Instances are kept canonical:
-    trailing prefix entries that match the tail's backward extension are
-    absorbed, so structural equality is semantic equality for vectors
-    built through the same operations.
+    geometric tail equals its coefficient.  ``make`` keeps instances
+    canonical: trailing prefix entries that match the tail's backward
+    extension are absorbed, so structural equality is semantic equality
+    for vectors built through the same operations.  ``abs`` does not
+    absorb: it keeps the tail coordinates it settles as explicit prefix
+    entries, so its result is exact and nonnegative at every coordinate.
     """
 
     prefix: tuple[float, ...]
@@ -345,18 +315,17 @@ class TailVector:
         return self * -1.0
 
     def __abs__(self) -> TailVector:
-        """Pointwise |x|, equal to abs of each coordinate on the prefix.
+        """Pointwise |x|: |prefix|, then the J tail coordinates that settle
+        the tail's sign, then the tail past J times that sign.
 
-        Only the J tail coordinates expanded to settle the tail's sign may
-        fold back into the tail.  Folding past the tail's start would
-        rescale its coefficients by 1/r and move later coordinates by an
-        ulp for non-dyadic ratios, so |x| may keep a prefix entry that
-        its tail could absorb.
+        The settled coordinates stay explicit.  Folding them back into the
+        tail would rescale its coefficients by 1/r, which for non-dyadic
+        ratios moves coordinates by an ulp, even below 0.
         """
         J, s = eventual_sign(self.tail)
+        settled = tuple(abs(self.tail.value(j)) for j in range(J))
         tail = self.tail.shift(J)
-        expanded = TailVector.make(np.abs(self.tail.values(J)), tail if s >= 0 else tail.neg())
-        return TailVector(tuple(abs(v) for v in self.prefix) + expanded.prefix, expanded.tail)
+        return TailVector(tuple(abs(v) for v in self.prefix) + settled, tail if s >= 0 else tail.neg())
 
     def _split(self, other: TailVector, pick, keep: int) -> TailVector:
         """Pointwise ``pick``, exact via the sign split of the difference.
@@ -407,10 +376,27 @@ def membership(x: TailVector, m: SpaceModel) -> bool:
 
 def model_norm(x: TailVector, m: SpaceModel) -> float:
     """Closed-form norm in the model; infinity is a value, not an error."""
+    ax = abs(x)
     if m is SpaceModel.ELL1:
-        return math.fsum(abs(v) for v in x.prefix) + _tail_abs_sum(x.tail)
-    head = max((abs(v) for v in x.prefix), default=0.0)
-    return max(head, _tail_abs_sup(x.tail))
+        if ax.tail.const != 0.0:
+            return math.inf
+        return math.fsum(ax.prefix) + math.fsum(a / (1.0 - r) for a, r in ax.tail.terms)
+    return _sup(ax)
+
+
+def _sup(ax: TailVector) -> float:
+    """Supremum of a vector that is nonnegative everywhere (approached, maybe not attained)."""
+    best = max(ax.prefix, default=0.0)
+    tail = ax.tail
+    j = 0
+    while tail.terms:
+        best = max(best, tail.value(j))
+        envelope = tail.const + math.fsum(max(a, 0.0) * r**j for a, r in tail.terms)
+        if envelope <= best or envelope - tail.const <= 1e-15 * max(1.0, tail.const):
+            break
+        j += 1
+        _bounded_offset(j)
+    return max(best, tail.const)
 
 
 @dataclass(frozen=True)
@@ -477,7 +463,7 @@ def is_uo_null(s: VectorSequence, m: SpaceModel, tol: float) -> UoNullVerdict:
             return UoNullVerdict("not-uo-null", k, worst, budget, win)
     for n in window:
         x = s.element(n)
-        sup = _tail_abs_sup(x.tail)
+        sup = _sup(abs(TailVector((), x.tail)))
         if sup > tol:
             return UoNullVerdict("not-uo-null", len(x.prefix) + 1, sup, budget, win)
     return UoNullVerdict("uo-null-evidence", None, 0.0, budget, win)
@@ -545,16 +531,13 @@ def is_disjoint(s: VectorSequence) -> DisjointVerdict:
 
     The support of |x| is the set of prefix coordinates where it is
     nonzero, plus, when its tail is nonzero, the coordinates k from
-    T = len(prefix) + 1 on where its value is nonzero.  Tail values are
-    read as ``meet`` reads them, from ``head``.  ``abs`` settles the
-    tail's sign before T, so the tail is eventually positive; only the
-    few coordinates that canonicalisation folded back into it can read 0,
-    or, by rounding, slightly below 0.  Two elements therefore overlap iff
-    their prefix supports share a coordinate, or both tails are nonzero,
-    or one element's prefix support reaches a coordinate k >= T where the
-    other's tail is nonzero.  A tail that reads below 0 somewhere is
-    decided by the exact meet against each element without a tail, since
-    the meet sees such a value wherever its own range reaches.
+    T = len(prefix) + 1 on where its value is nonzero.  ``abs`` keeps the
+    coordinates that settle the tail's sign in its prefix, so every
+    coordinate of |x| is at least 0.  Tail values are read as ``meet``
+    reads them, from ``head``.  Two elements therefore overlap iff their
+    prefix supports share a coordinate, or both tails are nonzero, or one
+    element's prefix support reaches a coordinate k >= T where the
+    other's tail is nonzero.
 
     The witness is the lexicographically first overlapping pair (i, j).
     The sweep visits j in order and finds the smallest earlier i that
@@ -566,34 +549,23 @@ def is_disjoint(s: VectorSequence) -> DisjointVerdict:
     absolute = [abs(x) for x in s.elements]
     reach = max(len(ax.prefix) for ax in absolute)
     first: dict[int, int] = {}  # coordinate -> first element with it in its prefix support
-    tailed = []  # (index, |x|, head(reach), reads below 0) for nonzero tails, in order
+    tailed = []  # (index, tail start T, head(reach)) for nonzero tails, in order
     witness = None
     for j, ax in enumerate(absolute):
         support = [k for k, v in enumerate(ax.prefix, start=1) if v != 0.0]
         hits = [first[k] for k in support if k in first]
         if ax.tail.is_zero:
-            for i, ai, head, negative in tailed:
-                if negative:
-                    overlap = not ai.meet(ax).is_zero
-                else:
-                    overlap = any(k > len(ai.prefix) and head[k - 1] != 0.0 for k in support)
-                if overlap:
+            for i, start, head in tailed:
+                if any(k >= start and head[k - 1] != 0.0 for k in support):
                     hits.append(i)
                     break
         else:
             head = ax.head(reach)
-            J, _ = eventual_sign(ax.tail)
-            negative = bool((ax.tail.values(J) < 0.0).any())
-            if negative:
-                for i in range(j):
-                    if absolute[i].tail.is_zero and not absolute[i].meet(ax).is_zero:
-                        hits.append(i)
-                        break
-            else:
-                hits += [i for k, i in first.items() if k > len(ax.prefix) and head[k - 1] != 0.0]
+            start = len(ax.prefix) + 1
+            hits += [i for k, i in first.items() if k >= start and head[k - 1] != 0.0]
             if tailed:
                 hits.append(tailed[0][0])
-            tailed.append((j, ax, head, negative))
+            tailed.append((j, start, head))
         if hits and (witness is None or min(hits) < witness[0]):
             witness = (min(hits), j)
         for k in support:
@@ -623,8 +595,7 @@ def oc_part_membership(x: TailVector, m: SpaceModel) -> OcPartVerdict:
     if m is not SpaceModel.ELL_INFTY or x.tail.vanishes:
         return OcPartVerdict(True)
     ax = abs(x)
-    J, _ = eventual_sign(x.tail)
-    base = len(x.prefix) + J
+    base = len(ax.prefix)
     blocks = []
     for i in range(8):
         k = base + 1 + i

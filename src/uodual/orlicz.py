@@ -69,15 +69,15 @@ class OrliczFunction:
 
     @classmethod
     def power(cls, p: float, scale: float = 1.0) -> OrliczFunction:
-        if p < 1:
+        if not p >= 1:
             raise ValueError("power exponent must be >= 1 for convexity")
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("scale must be > 0")
         return cls("power", p=float(p), scale=float(scale))
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> OrliczFunction:
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("rate must be > 0")
         # exp overflows past ~709/rate; cap the trusted range accordingly
         return cls("exp", rate=float(rate), domain_cap=700.0 / rate)
@@ -250,7 +250,7 @@ def conjugate(
     that moves any value by more than ``tol`` the grid is too coarse and
     GridTooCoarse is raised.
     """
-    if s_max <= 0:
+    if not s_max > 0:
         raise ValueError("s_max must be > 0")
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -288,7 +288,7 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
     bracketed by doubling/halving from sup|f| and then bisected to width
     ``tol``.  The returned value is the upper bracket endpoint.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     abs_values = np.abs(f.array)
     weights = f.space.weight_array

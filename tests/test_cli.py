@@ -51,6 +51,14 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid, match="frobnicate"):
             parse_config(["fatou", "--config", str(path)])
 
+    def test_non_finite_float_names_the_field(self, tmp_path):
+        with pytest.raises(ConfigInvalid, match="'tol'"):
+            parse_config(["norm", "--tol", "nan"])
+        path = tmp_path / "cfg.json"
+        path.write_text('{"box": Infinity}')
+        with pytest.raises(ConfigInvalid, match="'box'"):
+            parse_config(["dualrep", "--config", str(path)])
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigInvalid, match="cannot read"):
             parse_config(["fatou", "--config", "/nonexistent.json"])
@@ -153,6 +161,17 @@ class TestCliProcess:
         proc = run_cli(["fatou", "--seq", "nope"])
         assert proc.returncode == 1
         assert "uodual: config error: seq:" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["dualrep", "--tol", "nan"],
+        ["fatou", "--tol", "nan"],
+        ["norm", "--tol", "nan"],
+        ["norm", "--phi", "power:nan"],
+    ])
+    def test_non_finite_float_is_config_error(self, argv):
+        proc = run_cli(argv)
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr
 
     def test_exit_code_one_on_runtime_error(self):
         # typewriter has no declared limit: the lsc check cannot run

@@ -404,8 +404,12 @@ class TestBuiltins:
     def test_avar_params_validated(self):
         with pytest.raises(ValueError, match="alpha"):
             builtin("avar", alpha=1.5)
-        with pytest.raises(ValueError, match="beta"):
-            builtin("entropic", beta=0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                builtin("entropic", beta=bad)
+            for ball in ("supnorm-ball", "open-ball"):
+                with pytest.raises(ValueError, match="radius"):
+                    builtin(ball, radius=bad)
 
     def test_worst_case_max(self):
         rho = builtin("worst-case")

@@ -243,6 +243,35 @@ class TestModelNorm:
         assert norm == pytest.approx(float(np.max(np.abs(truncated(x)))), abs=1e-12)
 
 
+# non-dyadic tails that are 0 before their sign settles: the exact float
+# sum of the tail is 0 there (the first at coordinate 2, the second at
+# coordinate 1), while folding that 0 back into the tail would read just
+# above or just below 0; and the product of the tails 0.3 + (-0.7, 0.6)
+# and 1.1 + (0.2, 0.45), written out term by term
+FOLDED_TAILS = (
+    Tail.make(0.33, ((-1.3, 0.3), (0.3, 0.2))),
+    Tail.make(0.2, ((-0.1, 0.3), (-0.1, 0.2))),
+    Tail.make(0.3 * 1.1, ((0.3 * 0.2, 0.45), (1.1 * -0.7, 0.6), (-0.7 * 0.2, 0.6 * 0.45))),
+)
+
+
+@st.composite
+def cancelling_tails(draw):
+    """A constant plus two non-dyadic terms whose exact float sum is 0 at offset j."""
+    values = st.sampled_from((0.3, -0.7, 1.1, -0.1, 0.6, -1.3, 0.2))
+    ratios = st.sampled_from((0.1, 0.2, 1 / 3, 0.45, 0.6, 0.7))
+    (a, r), (b, q) = ((draw(values), draw(ratios)) for _ in range(2))
+    j = draw(st.integers(min_value=0, max_value=2))
+    return Tail.make(-math.fsum((a * r**j, b * q**j)), ((a, r), (b, q)))
+
+
+@st.composite
+def sign_settling_vectors(draw):
+    """A dyadic prefix followed by a non-dyadic tail that changes sign before it settles."""
+    prefix = [v / 2.0 for v in draw(st.lists(st.integers(min_value=-8, max_value=8), max_size=3))]
+    return TailVector.make(prefix, draw(st.one_of(st.sampled_from(FOLDED_TAILS), cancelling_tails())))
+
+
 class TestLatticeOps:
     def test_meet_with_zero_for_positive(self):
         x = TailVector.geometric(2.0, 0.5, prefix=(1.0, 3.0))
@@ -289,11 +318,19 @@ class TestLatticeOps:
         np.testing.assert_allclose(truncated(x.meet(y), n), np.minimum(tx, ty), rtol=0, atol=1e-12)
         np.testing.assert_allclose(truncated(x.join(y), n), np.maximum(tx, ty), rtol=0, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
-    @given(x=tail_vectors(), c=st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.one_of(tail_vectors(), sign_settling_vectors()), c=st.integers(min_value=-6, max_value=6))
     def test_abs_and_scaling_match_truncation(self, x, c):
+        # |x| is exact and nonnegative on every coordinate it writes out;
+        # past them its tail is x's tail shifted by J, which moves
+        # non-dyadic values by an ulp when J > 0
         n = 200
-        np.testing.assert_allclose(truncated(abs(x), n), np.abs(truncated(x, n)), rtol=0, atol=0)
+        absolute, expected = abs(x), np.abs(truncated(x, n))
+        k = len(absolute.prefix)
+        assert (truncated(absolute, n) >= 0.0).all() and (absolute.head(n) >= 0.0).all()
+        np.testing.assert_array_equal(truncated(absolute, k), expected[:k])
+        atol = 0 if k == len(x.prefix) else 1e-15
+        np.testing.assert_allclose(truncated(absolute, n)[k:], expected[k:], rtol=0, atol=atol)
         np.testing.assert_allclose(
             truncated(x * (c / 2.0), n), (c / 2.0) * truncated(x, n), rtol=0, atol=1e-12
         )
@@ -339,28 +376,6 @@ SPARSE_TAILS = (
     Tail.make(0.0, ((-1.0, 0.5), (2.0, 0.25))),
     Tail.make(1.0, ((-1.0, 0.5),)),
 )
-
-
-# non-dyadic tails whose |x| has a zero folded into its tail: the exact
-# float sum of the tail is 0 there, while head's running sum, which meet
-# reads, lands just above 0 (the first, at coordinate 2) or just below 0
-# (the second, at coordinate 1); and the product of the tails
-# 0.3 + (-0.7, 0.6) and 1.1 + (0.2, 0.45), written out term by term
-FOLDED_TAILS = (
-    Tail.make(0.33, ((-1.3, 0.3), (0.3, 0.2))),
-    Tail.make(0.2, ((-0.1, 0.3), (-0.1, 0.2))),
-    Tail.make(0.3 * 1.1, ((0.3 * 0.2, 0.45), (1.1 * -0.7, 0.6), (-0.7 * 0.2, 0.6 * 0.45))),
-)
-
-
-@st.composite
-def cancelling_tails(draw):
-    """A constant plus two non-dyadic terms whose exact float sum is 0 at offset j."""
-    values = st.sampled_from((0.3, -0.7, 1.1, -0.1, 0.6, -1.3, 0.2))
-    ratios = st.sampled_from((0.1, 0.2, 1 / 3, 0.45, 0.6, 0.7))
-    (a, r), (b, q) = ((draw(values), draw(ratios)) for _ in range(2))
-    j = draw(st.integers(min_value=0, max_value=2))
-    return Tail.make(-math.fsum((a * r**j, b * q**j)), ((a, r), (b, q)))
 
 
 @st.composite
@@ -538,10 +553,10 @@ class TestDisjoint:
         assert is_disjoint(s) == DisjointVerdict(False, (1, 4))
 
     def test_zero_folded_into_a_tail(self):
-        # |x| = (1, 0, 1/8, ...): canonicalisation folds the zero at
-        # coordinate 2 into the tail, which starts there
+        # |x| = (1, 0, 1/8, ...): the tail's sign settles at coordinate 4,
+        # and abs keeps the zero at coordinate 2 in its prefix
         x = TailVector.make((), Tail.make(0.0, ((1.0, 0.5), (-2.0, 0.25))))
-        assert len(abs(x).prefix) == 1 and abs(x).value(2) == 0.0
+        assert abs(x).prefix == (1.0, 0.0, 0.125)
         assert is_disjoint(VectorSequence((x, TailVector.unit(2)))).disjoint
         assert is_disjoint(VectorSequence((TailVector.unit(2), x))).disjoint
         s = VectorSequence((x, TailVector.unit(2), TailVector.unit(3)))
@@ -559,12 +574,16 @@ class TestDisjoint:
 
     @pytest.mark.parametrize("tail", FOLDED_TAILS[:2])
     def test_folded_zero_read_as_meet_reads(self, tail):
-        # the sweep reads |x| from head, as meet does, and leaves a tail
-        # that reads below 0 to the exact meet, whose range covers it
+        # abs keeps the zero of the tail as an explicit prefix entry, and
+        # the sweep reads every coordinate of |x| as meet does; folded back
+        # into the tail, the second tail's zero would read -1.4e-17, and
+        # x would not be disjoint from the zero vector
         x = TailVector.make((), tail)
         absolute = abs(x)
-        k = len(absolute.prefix) + 1
-        assert absolute.value(k) == 0.0 and absolute.head(k)[k - 1] != 0.0
+        assert 0.0 in absolute.prefix
+        assert (absolute.head(len(absolute.prefix) + 9) >= 0.0).all()
+        assert absolute.meet(TailVector.zero()).is_zero
+        k = absolute.prefix.index(0.0) + 1
         for other in (TailVector.zero(), TailVector.unit(1), TailVector.unit(k), TailVector.unit(9)):
             for s in (VectorSequence((x, other)), VectorSequence((other, x))):
                 pair = first_meeting_pair(s)

@@ -64,8 +64,16 @@ class TestOrliczFunction:
         assert phi(1.0) == pytest.approx(math.e - 1)
 
     def test_power_requires_convexity(self):
-        with pytest.raises(ValueError, match="convexity"):
-            OrliczFunction.power(0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError, match="convexity"):
+                OrliczFunction.power(p)
+
+    def test_scale_and_rate_must_be_positive(self):
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                OrliczFunction.power(2, bad)
+            with pytest.raises(ValueError, match="rate"):
+                OrliczFunction.exponential(bad)
 
     def test_sampled_interpolates_and_extrapolates(self):
         phi = OrliczFunction.sampled([0, 1, 2], [0, 1, 3])
@@ -234,8 +242,9 @@ class TestConjugate:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError, match="grid_size"):
             conjugate(OrliczFunction.power(2), 4.0, 32)
-        with pytest.raises(ValueError, match="s_max"):
-            conjugate(OrliczFunction.power(2), -1.0, 128)
+        for s_max in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="s_max must be > 0"):
+                conjugate(OrliczFunction.power(2), s_max, 128)
 
     def test_unstable_sweep_reports_grid_too_coarse(self):
         # a narrow dip (validation bypassed) placed on a fine-grid point
@@ -379,5 +388,6 @@ class TestLuxemburgNorm:
 
     def test_tol_must_be_positive(self):
         sp = ProbabilitySpace.uniform(2)
-        with pytest.raises(ValueError, match="tol"):
-            luxemburg_norm(RandomVariable.ones(sp), OrliczFunction.power(2), 0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                luxemburg_norm(RandomVariable.ones(sp), OrliczFunction.power(2), tol)
