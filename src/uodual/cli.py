@@ -19,7 +19,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .convex import (
 )
 from .fatou import (
     ExtractionStalled,
+    NotConvergent,
     check_bounded_uo_lsc,
     extract_ae_subsequence,
     generate,
@@ -116,7 +117,8 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
 
     Precedence: built-in defaults, then config-file values, then explicit
     flags.  Malformed JSON raises ConfigInvalid naming the byte offset; a
-    float field that is NaN or infinite raises ConfigInvalid naming the field.
+    float field that is NaN or infinite, a ``seed`` that is not an integer
+    or an ``out`` that is not a string raises ConfigInvalid naming the field.
     """
     parser = argparse.ArgumentParser(
         prog="uodual",
@@ -172,8 +174,12 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     if unknown:
         raise ConfigInvalid(f"config: unknown fields {sorted(unknown)}")
 
-    seed = ns.seed if ns.seed is not None else int(file_values.get("seed", 0))
+    seed = ns.seed if ns.seed is not None else file_values.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigInvalid(f"config field 'seed': must be an integer, got {seed!r}")
     out = ns.out if ns.out is not None else file_values.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigInvalid(f"config field 'out': must be a path string, got {out!r}")
     return ExperimentConfig(ns.command, params, seed, out, ns.timing)
 
 
@@ -296,11 +302,10 @@ def _run_dualrep(params: dict, seed: int):
 def _run_fatou(params: dict, seed: int):
     rho = _parse_functional(params["rho"], params)
     try:
-        seq = generate(params["seq"])
-    except UnknownName as exc:
+        report = check_bounded_uo_lsc(rho, generate(params["seq"]), params["n_max"], params["tol"])
+    except (UnknownName, NotConvergent) as exc:
         raise ConfigInvalid(f"seq: {exc}") from exc
-    report = check_bounded_uo_lsc(rho, seq, params["n_max"], params["tol"])
-    results = {"functional": rho.name, **report.to_dict()}
+    results = {"functional": rho.name, **asdict(report)}
     return results, [report.verdict], 2 if report.violated else 0
 
 
@@ -497,10 +502,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         config = parse_config(argv)
-    except ConfigInvalid as exc:
-        print(f"uodual: config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         report, code = run(config)
     except ConfigInvalid as exc:
         print(f"uodual: config error: {exc}", file=sys.stderr)

@@ -80,15 +80,24 @@ class ConvexFunctional:
     they are never used inside the numerical conjugation itself.
     ``evaluate_rows``, when given, maps a space and a ``(k, n)`` matrix
     to the k values of its rows at once and must agree with ``evaluate``.
+    At least one of the two oracles is required: without ``evaluate``, it
+    is the value of ``evaluate_rows`` on the one-row matrix of the point.
     """
 
     name: str
-    evaluate: callable
+    evaluate: callable | None = None
     witness: callable = RandomVariable.zero
     known_conjugate: callable | None = None
     dual_witness: callable | None = None
     cash_invariant: bool = False
     evaluate_rows: callable | None = None
+
+    def __post_init__(self) -> None:
+        if self.evaluate is None:
+            rows = self.evaluate_rows
+            if rows is None:
+                raise ValueError(f"functional {self.name!r} needs evaluate or evaluate_rows")
+            object.__setattr__(self, "evaluate", lambda f: float(rows(f.space, f.array[None, :])[0]))
 
     def rows(self, space: ProbabilitySpace, matrix: np.ndarray) -> np.ndarray:
         """Values at every row of ``matrix``; one ``evaluate`` per row without a batched form."""
@@ -518,6 +527,8 @@ def dual_representation_check(
     where rho is declared infinite but the hull is finite) is a witness
     that rho is not represented by the dual grid at this resolution.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     conjugates = ConjugateField.compute(rho, dual_points, config)
     gaps = []
     rho_vals = []
@@ -570,11 +581,6 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
 
 
 # -- builtin functionals ------------------------------------------------------
-
-
-def _pointwise(evaluate_rows):
-    """The scalar evaluate of a batched one: its value on a one-row matrix."""
-    return lambda f: float(evaluate_rows(f.space, f.array[None, :])[0])
 
 
 def _avar_taken(matrix: np.ndarray, weights: np.ndarray, alpha: float):
@@ -643,7 +649,6 @@ def _entropic(beta: float = 1.0) -> ConvexFunctional:
 
     return ConvexFunctional(
         name=f"entropic(beta={beta:g})",
-        evaluate=_pointwise(evaluate_rows),
         evaluate_rows=evaluate_rows,
         known_conjugate=known_conjugate,
         dual_witness=dual_witness,
@@ -665,7 +670,6 @@ def _avar(alpha: float = 0.5) -> ConvexFunctional:
 
     return ConvexFunctional(
         name=f"avar(alpha={alpha:g})",
-        evaluate=_pointwise(evaluate_rows),
         evaluate_rows=evaluate_rows,
         known_conjugate=known_conjugate,
         dual_witness=lambda f: _avar_tail_density(f, alpha),
@@ -685,7 +689,6 @@ def _worst_case() -> ConvexFunctional:
 
     return ConvexFunctional(
         name="worst-case",
-        evaluate=_pointwise(evaluate_rows),
         evaluate_rows=evaluate_rows,
         known_conjugate=lambda g: 0.0 if _is_density(g) else math.inf,
         dual_witness=dual_witness,
@@ -708,7 +711,6 @@ def _supnorm_ball(open_ball: bool, radius: float = 1.0) -> ConvexFunctional:
 
     return ConvexFunctional(
         name=("open-ball" if open_ball else "supnorm-ball") + f"(radius={radius:g})",
-        evaluate=_pointwise(evaluate_rows),
         evaluate_rows=evaluate_rows,
         known_conjugate=known_conjugate,
         dual_witness=lambda f: RandomVariable.zero(f.space),

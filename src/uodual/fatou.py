@@ -151,7 +151,7 @@ def generate(name: str, limit_value: RandomVariable | None = None) -> TestSequen
         return TestSequence("oscillating", _oscillating_element)
     if name == "constant":
         if limit_value is None:
-            raise ValueError("constant sequence needs limit_value")
+            raise NotConvergent("constant sequence needs limit_value")
         f = limit_value
 
         def element(n: int, f=f) -> RandomVariable:
@@ -179,17 +179,6 @@ class LscReport:
     def violated(self) -> bool:
         return self.verdict == "violated"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_max": self.n_max,
-            "values": list(self.values),
-            "liminf": self.liminf,
-            "rho_at_limit": self.rho_at_limit,
-            "verdict": self.verdict,
-            "tol": self.tol,
-        }
-
 
 def check_bounded_uo_lsc(
     rho: ConvexFunctional,
@@ -207,6 +196,8 @@ def check_bounded_uo_lsc(
     """
     if n_max < 16:
         raise ValueError("n_max must be >= 16")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if s.declared_limit is None:
         raise NotConvergent(f"sequence {s.name!r} has no declared limit")
     values = []

@@ -137,8 +137,8 @@ class Tail:
     def value(self, j: int) -> float:
         return self.const + math.fsum(a * r**j for a, r in self.terms)
 
-    def values(self, count: int, start: int = 0) -> np.ndarray:
-        j = np.arange(start, start + count, dtype=float)
+    def values(self, count: int) -> np.ndarray:
+        j = np.arange(count, dtype=float)
         out = np.full(count, self.const)
         for a, r in self.terms:
             out += a * r**j
@@ -171,38 +171,27 @@ class Tail:
 def eventual_sign(tail: Tail) -> tuple[int, int]:
     """Conservative offset J and sign s with sign(tail(j)) = s for all j >= J.
 
-    Beyond J the dominant part (the constant, or failing that the term
-    with the largest ratio) exceeds twice the combined magnitude of the
-    rest, so the sign is stable even under floating-point evaluation.
+    The dominant term is the constant, taken as a term with ratio 1, or
+    failing that the term with the largest ratio.  Beyond J it exceeds
+    twice the combined magnitude of the rest (or has fallen below 1e-300,
+    past which nothing is resolved), so the sign is stable even under
+    floating-point evaluation.  A log estimate gives J up to rounding, and
+    a loop from there confirms it.
     """
-    if not tail.terms:
-        return 0, _sign(tail.const)
-    if tail.const != 0.0:
-        c = abs(tail.const)
-        total = math.fsum(abs(a) for a, _ in tail.terms)
-        rmax = max(r for _, r in tail.terms)
-        J = 0
-        if total > c / 2.0:
-            J = _bounded_offset(math.log((c / 2.0) / total) / math.log(rmax))
-        while math.fsum(abs(a) * r**J for a, r in tail.terms) > c / 2.0:
-            J = _bounded_offset(J + 1)
-        return J, _sign(tail.const)
-    a0, r0 = tail.terms[0]
-    rest = tail.terms[1:]
-    if not rest:
-        return 0, _sign(a0)
+    terms = tail.terms if tail.const == 0.0 else ((tail.const, 1.0),) + tail.terms
+    if not terms:
+        return 0, 0
+    (a0, r0), rest = terms[0], terms[1:]
     total = math.fsum(abs(a) for a, _ in rest)
-    r1 = max(r for _, r in rest)
     J = 0
     if 2.0 * total > abs(a0):
-        decay = math.log(r1 / r0)  # 0 only when the ratios are neighbouring floats
+        decay = math.log(max(r for _, r in rest) / r0)  # 0 only when the ratios are neighbouring floats
         J = _bounded_offset(math.log(abs(a0) / (2.0 * total)) / decay if decay else math.inf)
     while True:
         lead = abs(a0) * r0**J
         if lead > 2.0 * math.fsum(abs(a) * r**J for a, r in rest) or lead < 1e-300:
-            break
+            return J, _sign(a0)
         J = _bounded_offset(J + 1)
-    return J, _sign(a0)
 
 
 @dataclass(frozen=True)
@@ -419,12 +408,6 @@ class VectorSequence:
         return self.elements[n - 1]
 
 
-def _require_members(s: VectorSequence, m: SpaceModel) -> None:
-    for n, x in enumerate(s.elements, start=1):
-        if not membership(x, m):
-            raise ValueError(f"element {n} of sequence {s.name!r} is not in {m.value}")
-
-
 @dataclass(frozen=True)
 class UoNullVerdict:
     verdict: str  # "uo-null-evidence" | "not-uo-null"
@@ -450,7 +433,11 @@ def is_uo_null(s: VectorSequence, m: SpaceModel, tol: float) -> UoNullVerdict:
     h = s.horizon
     if h < 8:
         raise ValueError("horizon must be >= 8")
-    _require_members(s, m)
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    for n, x in enumerate(s.elements, start=1):
+        if not membership(x, m):
+            raise ValueError(f"element {n} of sequence {s.name!r} is not in {m.value}")
     window_len = max(4, h // 4)
     window = range(h - window_len + 1, h + 1)
     max_prefix = max((len(x.prefix) for x in s.elements), default=0)
@@ -595,13 +582,9 @@ def oc_part_membership(x: TailVector, m: SpaceModel) -> OcPartVerdict:
     if m is not SpaceModel.ELL_INFTY or x.tail.vanishes:
         return OcPartVerdict(True)
     ax = abs(x)
-    base = len(ax.prefix)
-    blocks = []
-    for i in range(8):
-        k = base + 1 + i
-        blocks.append(TailVector.unit(k, ax.value(k)))
-    bound = min(b.value(base + 1 + i) for i, b in enumerate(blocks))
-    return OcPartVerdict(False, tuple(blocks), bound)
+    values = [ax.tail.value(j) for j in range(8)]
+    blocks = tuple(TailVector.unit(len(ax.prefix) + 1 + j, v) for j, v in enumerate(values))
+    return OcPartVerdict(False, blocks, min(values))
 
 
 def uo_dual_expected(m: SpaceModel) -> SpaceModel:
@@ -617,14 +600,13 @@ def uo_dual_expected(m: SpaceModel) -> SpaceModel:
 # -- falsification search over norm-bounded disjoint families ----------------
 
 _DUAL_DELTA = 1e-6
+# the largest budget: a dyadic-block matrix takes about 84 * budget**2 bytes
+# (84 MB at the cap), and up to 64 family matrices stay cached
+_MAX_BUDGET = 1000
 
 
 def _unit_vector_family(m: SpaceModel, budget: int, seed: int):
     return [TailVector.unit(n) for n in range(1, budget + 1)]
-
-
-def _block(start: int, values) -> TailVector:
-    return TailVector.make((0.0,) * (start - 1) + tuple(values), Tail())
 
 
 def _dyadic_block_family(m: SpaceModel, budget: int, seed: int):
@@ -633,7 +615,7 @@ def _dyadic_block_family(m: SpaceModel, budget: int, seed: int):
     for n in range(budget):
         length = 2 ** (n % 6)
         level = 1.0 / length if m is SpaceModel.ELL1 else 1.0
-        out.append(_block(pos, [level] * length))
+        out.append(TailVector.from_prefix([0.0] * (pos - 1) + [level] * length))
         pos += length
     return out
 
@@ -652,7 +634,7 @@ def _random_block_family(m: SpaceModel, budget: int, seed: int):
         else:
             peak = max(abs(v) for v in raw)
             vals = [v / peak for v in raw]
-        out.append(_block(pos, vals))
+        out.append(TailVector.from_prefix([0.0] * (pos - 1) + vals))
         pos += length
     return out
 
@@ -711,10 +693,11 @@ def uo_dual_test(phi: TailVector, m: SpaceModel, budget: int, seed: int) -> UoDu
     outside the uo-dual keeps some subsequence away from 0; we flag a
     violation when at least half of the last quarter of pairings exceed
     delta = 1e-6.  Families are scanned in a fixed deterministic order,
-    and the witness is exact and replayable from the seed.
+    and the witness is exact and replayable from the seed.  ``budget``, the
+    number of elements per family, lies in [100, 1000].
     """
-    if budget < 100:
-        raise ValueError("budget must be >= 100")
+    if not 100 <= budget <= _MAX_BUDGET:
+        raise ValueError(f"budget must lie in [100, {_MAX_BUDGET}], got {budget}")
     if m in (SpaceModel.C0, SpaceModel.ELL_INFTY) and not phi.tail.vanishes:
         raise FunctionalNotBounded(
             f"functional with non-vanishing tail is unbounded on the {m.value} unit ball"

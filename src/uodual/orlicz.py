@@ -254,6 +254,8 @@ def conjugate(
         raise ValueError("s_max must be > 0")
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     h = s_max / grid_size
     slope = (phi(s_max) - phi(s_max - h)) / h
     if not math.isfinite(slope):

@@ -59,6 +59,19 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid, match="'box'"):
             parse_config(["dualrep", "--config", str(path)])
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "abc"),
+        ("seed", None),
+        ("seed", 1.7),
+        ("seed", True),
+        ("out", 3),
+    ])
+    def test_seed_and_out_types_name_the_field(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigInvalid, match=f"'{field}'"):
+            parse_config(["norm", "--config", str(path)])
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigInvalid, match="cannot read"):
             parse_config(["fatou", "--config", "/nonexistent.json"])
@@ -173,11 +186,17 @@ class TestCliProcess:
         assert proc.returncode == 1
         assert "config error" in proc.stderr
 
+    @pytest.mark.parametrize("seq", ["typewriter", "oscillating", "constant"])
+    def test_sequence_without_limit_is_config_error(self, seq, capsys):
+        # the CLI has no limit to give these sequences, so the lsc check cannot run
+        assert main(["fatou", "--seq", seq]) == 1
+        assert capsys.readouterr().err.startswith("uodual: config error: seq:")
+
     def test_exit_code_one_on_runtime_error(self):
-        # typewriter has no declared limit: the lsc check cannot run
-        proc = run_cli(["fatou", "--rho", "expectation", "--seq", "typewriter"])
+        # exp overflows before s_max, so the conjugate cannot be sampled
+        proc = run_cli(["conjugate", "--phi", "exp", "--s-max", "1000"])
         assert proc.returncode == 1
-        assert "NotConvergent" in proc.stderr
+        assert "uodual: error: DomainExceeded" in proc.stderr
 
     def test_report_written_to_out(self, tmp_path):
         out = tmp_path / "report.json"

@@ -265,6 +265,14 @@ class TestDualRepresentation:
         assert math.isinf(rep.gaps[1])
         assert len(rep.conjugates) == len(grid) and "conjugates" not in rep.to_dict()
 
+    def test_tol_validated(self):
+        # a NaN tol used to read the gap at a probe outside the ball as representable
+        rho = builtin("supnorm-ball")
+        probe = RandomVariable.constant(SP4, 3.0)
+        for tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tol"):
+                dual_representation_check(rho, [probe], [RandomVariable.zero(SP4)], tol)
+
 
 class TestBatchedEvaluation:
     @settings(max_examples=300, deadline=None)
@@ -298,6 +306,12 @@ class TestBatchedEvaluation:
         matrix = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 0.5, 0.5, 0.5]])
         assert rho.rows(SP4, matrix).tolist() == [0.75, 0.125]
         assert calls == [tuple(matrix[0]), tuple(matrix[1])]
+
+    def test_batched_only_functional_derives_evaluate(self):
+        rho = ConvexFunctional("mean", evaluate_rows=lambda space, m: m @ space.weight_array)
+        assert rho.evaluate(rv([1.0, 2.0, 0.0, -1.0])) == 0.5
+        with pytest.raises(ValueError, match="evaluate"):
+            ConvexFunctional("no-oracle")
 
 
 class TestLockstepEngine:

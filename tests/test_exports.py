@@ -7,9 +7,17 @@ MODULES = ["uodual"] + [f"uodual.{m}" for m in ("cli", "convex", "fatou", "latti
 # public names and attributes that were deleted; none may come back
 DELETED = {
     "uodual": ("superlinear_growth", "young_gap"),
-    "uodual.convex": ("ConjugateField.dual_point",),
-    "uodual.fatou": ("TestSequence.ae_convergent",),
-    "uodual.lattice": ("meet", "join", "Tail.mul", "TailVector.dot", "_tail_signed_sum"),
+    "uodual.convex": ("ConjugateField.dual_point", "_pointwise"),
+    "uodual.fatou": ("TestSequence.ae_convergent", "LscReport.to_dict"),
+    "uodual.lattice": (
+        "meet",
+        "join",
+        "Tail.mul",
+        "TailVector.dot",
+        "_tail_signed_sum",
+        "_block",
+        "_require_members",
+    ),
     "uodual.orlicz": (
         "delta2_report",
         "Delta2Report",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,9 +195,15 @@ class TestCheckBoundedUoLsc:
         with pytest.raises(ValueError, match="n_max"):
             check_bounded_uo_lsc(builtin("expectation"), generate("spike"), 8, 1e-9)
 
+    def test_tol_validated(self):
+        # a NaN tol used to read every comparison as satisfied
+        for tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tol"):
+                check_bounded_uo_lsc(builtin("neg-expectation"), generate("spike"), 32, tol)
+
     def test_report_roundtrip(self):
         rep = check_bounded_uo_lsc(builtin("neg-expectation"), generate("spike"), 16, 1e-9)
-        data = rep.to_dict()
+        data = dataclasses.asdict(rep)
         assert data["verdict"] == "violated"
         assert len(data["values"]) == 16
 

@@ -149,6 +149,29 @@ class TestEventualSign:
         with pytest.raises(TailTooClose):
             eventual_sign(tail)
 
+    def test_exact_ties_settle_one_offset_later(self):
+        # the dominant part must exceed twice the rest, not equal it
+        assert eventual_sign(Tail.make(1.0, ((0.5, 0.5),))) == (1, 1)
+        assert eventual_sign(Tail.make(-1.0, ((2.0, 0.5),))) == (3, -1)
+
+    # the strategies are defined further down the module
+    @settings(max_examples=300, deadline=None)
+    @given(tail=st.deferred(lambda: st.one_of(
+        st.tuples(tail_vectors(), tail_vectors()).map(lambda xy: xy[0].tail.add(xy[1].tail)),
+        close_ratio_tails(),
+        st.sampled_from(FOLDED_TAILS),
+        cancelling_tails(),
+    )))
+    def test_sign_holds_past_the_offset(self, tail):
+        try:
+            J, s = eventual_sign(tail)
+        except TailTooClose:
+            return  # past the offset cap; TestCloseRatios covers it
+        for j in range(J, J + 65):
+            value = tail.value(j)
+            # below 1e-300 the terms underflow and no sign is resolved
+            assert np.sign(value) == s or abs(value) < 1e-300, (tail, J, j)
+
 
 COEFFICIENTS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -438,6 +461,14 @@ class TestUoNull:
         with pytest.raises(ValueError, match="not in ell1"):
             is_uo_null(s, SpaceModel.ELL1, 1e-9)
 
+    def test_tol_validated(self):
+        # a NaN tol used to read the constant ones sequence as null
+        s = VectorSequence.from_generator(lambda n: TailVector.ones(), 16)
+        for check in (is_uo_null, is_order_null):
+            for tol in (math.nan, -1.0):
+                with pytest.raises(ValueError, match="tol"):
+                    check(s, SpaceModel.ELL_INFTY, tol)
+
 
 class TestOrderNull:
     def test_unit_vectors_not_order_null(self):
@@ -674,8 +705,10 @@ class TestUoDual:
             assert uo_dual_test(phi, model, 160, seed=0).consistent, model
 
     def test_budget_validated(self):
-        with pytest.raises(ValueError, match="budget"):
-            uo_dual_test(TailVector.unit(1), SpaceModel.ELL1, 50, seed=0)
+        # outside [100, 1000] a budget raises before any family matrix is built
+        for budget in (50, 1001, 10**12):
+            with pytest.raises(ValueError, match="budget"):
+                uo_dual_test(TailVector.unit(1), SpaceModel.ELL1, budget, seed=0)
 
     def test_members_of_expected_dual_are_consistent(self):
         rng = random.Random(17)

@@ -246,6 +246,12 @@ class TestConjugate:
             with pytest.raises(ValueError, match="s_max must be > 0"):
                 conjugate(OrliczFunction.power(2), s_max, 128)
 
+    def test_tol_validated(self):
+        # with a NaN tol the drift check could never fire
+        for tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                conjugate(OrliczFunction.power(2), 16.0, 64, tol=tol)
+
     def test_unstable_sweep_reports_grid_too_coarse(self):
         # a narrow dip (validation bypassed) placed on a fine-grid point
         # that the coarse grid misses: refinement moves the sup
