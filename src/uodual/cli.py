@@ -112,13 +112,42 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _as_int(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _as_float(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _as_str(value):
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+# schema type -> strict converter; a flag's text is read with the type
+# itself first, then converted like a config-file value
+_CONVERT = {int: _as_int, float: _as_float, str: _as_str}
+
+
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Parse command-line flags, merging an optional JSON config file.
 
     Precedence: built-in defaults, then config-file values, then explicit
-    flags.  Malformed JSON raises ConfigInvalid naming the byte offset; a
-    float field that is NaN or infinite, a ``seed`` that is not an integer
-    or an ``out`` that is not a string raises ConfigInvalid naming the field.
+    flags.  Malformed JSON raises ConfigInvalid naming the byte offset.
+    Every field, ``seed`` included, is converted strictly, from a flag or
+    from the file alike: an int field takes only an integer (not a bool or
+    a float), a float field an int or a finite float (not a bool), a
+    string field a string.  A value that fails raises ConfigInvalid naming
+    the field; so does an ``out`` that is not a string.
     """
     parser = argparse.ArgumentParser(
         prog="uodual",
@@ -128,8 +157,8 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     for command, schema in _SCHEMAS.items():
         p = sub.add_parser(command, help=f"run the {command} experiment")
         for key, (typ, default) in schema.items():
-            p.add_argument(_flag(key), type=typ, default=None, help=f"default: {default!r}")
-        p.add_argument("--seed", type=int, default=None, help="default: 0")
+            p.add_argument(_flag(key), default=None, help=f"default: {default!r}")
+        p.add_argument("--seed", default=None, help="default: 0")
         p.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--timing", action="store_true", help="print wall time to stderr")
@@ -157,26 +186,21 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
             raise ConfigInvalid("config: top-level JSON value must be an object")
 
     params: dict = {}
-    for key, (typ, default) in schema.items():
-        value = default
-        if key in file_values:
-            try:
-                value = typ(file_values[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigInvalid(f"config field {key!r}: {exc}") from exc
-        flag_value = getattr(ns, key)
-        if flag_value is not None:
-            value = flag_value
-        if typ is float and not math.isfinite(value):
-            raise ConfigInvalid(f"config field {key!r}: must be finite, got {value!r}")
-        params[key] = value
+    for key, (typ, default) in {**schema, "seed": (int, 0)}.items():
+        convert = _CONVERT[typ]
+        flag = getattr(ns, key)
+        try:
+            if flag is not None:
+                params[key] = convert(typ(flag))
+            else:
+                params[key] = convert(file_values.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigInvalid(f"config field {key!r}: {exc}") from exc
     unknown = set(file_values) - set(schema) - {"seed", "out", "command"}
     if unknown:
         raise ConfigInvalid(f"config: unknown fields {sorted(unknown)}")
 
-    seed = ns.seed if ns.seed is not None else file_values.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigInvalid(f"config field 'seed': must be an integer, got {seed!r}")
+    seed = params.pop("seed")
     out = ns.out if ns.out is not None else file_values.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigInvalid(f"config field 'out': must be a path string, got {out!r}")
@@ -503,18 +527,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(argv)
         report, code = run(config)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ConfigInvalid as exc:
         print(f"uodual: config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - error channel is the exit code
         print(f"uodual: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if config.timing:
         print(f"uodual: wall time {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -7,6 +7,9 @@ by a coarse scan plus golden-section refinement (the objective is concave
 in each coordinate for convex rho), sweeps repeat until stationary, and a
 polish pass along pair and diagonal directions escapes the ridge points
 that pure coordinate moves cannot leave on piecewise-linear objectives.
+The polish searches a row's next directions from its current point as
+one batch of lines, at most ``_POLISH_LINES`` per call, and keeps the
+first line that gains, so it moves exactly as one direction at a time.
 An ascent that ends on the box boundary is flagged "possibly infinite"
 rather than reported as a finite supremum.
 
@@ -142,7 +145,8 @@ def golden_section_max(fun, a, b, iterations: int, centre=None):
     are both -inf (indicator slices) are recentred first: the bracket
     halves toward the centre, and the first of 80 levels with a finite
     probe is kept (the last one if none is).  The levels have the closed
-    form ``centre + (a - centre) / 2**k``, so all are evaluated in one call.
+    form ``centre + (a - centre) / 2**k``, so all are evaluated at once,
+    in one call per probe.
     Returns ``(x, value)``, the better of the two final probes of each row.
     """
     a = np.array(a, dtype=float)
@@ -160,7 +164,7 @@ def golden_section_max(fun, a, b, iterations: int, centre=None):
             lb = c + (b[stuck, None] - c) * halving
             l1 = lb - _GOLDEN * (lb - la)
             l2 = la + _GOLDEN * (lb - la)
-            lf1, lf2 = np.split(fun(stuck, np.concatenate([l1, l2], axis=1)), 2, axis=1)
+            lf1, lf2 = fun(stuck, l1), fun(stuck, l2)
             finite = (lf1 > -np.inf) | (lf2 > -np.inf)
             level = np.where(finite.any(axis=1), finite.argmax(axis=1), _RECENTRE_LEVELS - 1)
             pick = (np.arange(stuck.size), level)
@@ -230,17 +234,16 @@ def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray):
     return np.where(better, x, best_x), np.where(better, v, best_v)
 
 
-def _pair_directions(n: int) -> list[np.ndarray]:
+def _pair_directions(n: int) -> np.ndarray:
+    """The polish directions, one per row: the diagonal, then e_i - e_j and e_i + e_j for i < j."""
     dirs = [np.ones(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i], d[j] = 1.0, -1.0
-            dirs.append(d)
-            e = np.zeros(n)
-            e[i], e[j] = 1.0, 1.0
-            dirs.append(e)
-    return dirs
+            for sign in (-1.0, 1.0):
+                d = np.zeros(n)
+                d[i], d[j] = 1.0, sign
+                dirs.append(d)
+    return np.array(dirs)
 
 
 def _objective(score, wg: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -257,40 +260,48 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float])
 
     Rows run in lockstep but never interact: a row leaves the sweeps when
     its own sweep goes stationary and leaves the rounds when its own
-    polish finds no move, as a search of that row alone would.  Returns
-    the final points and their objective values, one row per start.
+    polish finds no move, as a search of that row alone would.
+
+    The polish tries the pair and diagonal directions in order and moves
+    along each one that gains.  While a row has not moved, its next
+    directions all start from the same point, so they are searched as one
+    batch of lines: at most ``_POLISH_LINES`` lines per call, and at least
+    one per row.  Each row then takes the first gaining line of its batch
+    and searches the directions after it again from its new point, so the
+    moves are exactly those of one direction at a time.  Returns the final
+    points and their objective values, one row per start.
     """
     lo, hi = box
     f = np.clip(starts, lo, hi)
     rows, n = f.shape
     val = _objective(score, wg, f[:, None, :])[:, 0]
+    dirs = _pair_directions(n)
+    safe = np.where(dirs != 0.0, dirs, 1.0)
 
-    def move(sub, x0, t_lo, t_hi, probe):
-        """Maximise along one line per row of ``sub``; ``probe(base, x)`` builds the points."""
-        base, w = f[sub], wg[sub]
+    def search(sub, t_lo, t_hi, x0, points):
+        """Maximise along one line per entry of ``sub``, a row index that may repeat.
 
-        def fun(idx, xs):
-            return _objective(score, w[idx], probe(base[idx], xs))
-
-        x, v = _maximize_1d(fun, t_lo, t_hi, x0)
+        ``points(idx, xs)`` builds the points of lines ``idx`` at the
+        abscissae ``xs``.  Returns each line's best point, its value, and
+        whether that value beats the row's current one.
+        """
+        w = wg[sub]
+        x, v = _maximize_1d(lambda idx, xs: _objective(score, w[idx], points(idx, xs)), t_lo, t_hi, x0)
         # improvements must clear rounding noise, or flat objectives would
         # drift to the box and be misread as unbounded
         accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
-        moved = sub[accepted]
-        f[moved] = probe(base[accepted], x[accepted, None])[:, 0]
-        val[moved] = v[accepted]
-        return moved
+        return points(slice(None), x[:, None])[:, 0], v, accepted
 
-    def coordinate(i):
-        def probe(base, xs):
-            out = np.repeat(base[:, None, :], xs.shape[1], axis=1)
+    def coordinate(base, i):
+        def points(idx, xs):
+            out = np.repeat(base[idx][:, None, :], xs.shape[1], axis=1)
             out[:, :, i] = xs
             return out
 
-        return probe
+        return points
 
-    def along(d):
-        return lambda base, ts: np.clip(base[:, None, :] + ts[:, :, None] * d, lo, hi)
+    def along(base, d):
+        return lambda idx, ts: np.clip(base[idx][:, None, :] + ts[:, :, None] * d[idx][:, None, :], lo, hi)
 
     active = np.arange(rows)
     with np.errstate(invalid="ignore"):
@@ -302,24 +313,43 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float])
                 before = val[sweeping]
                 box_lo, box_hi = np.full(sweeping.size, lo), np.full(sweeping.size, hi)
                 for i in range(n):
-                    move(sweeping, f[sweeping, i], box_lo, box_hi, coordinate(i))
+                    end, v, ok = search(sweeping, box_lo, box_hi, f[sweeping, i], coordinate(f[sweeping], i))
+                    f[sweeping[ok]], val[sweeping[ok]] = end[ok], v[ok]
                 after = val[sweeping]
                 sweeping = sweeping[~(after - before <= _SWEEP_TOL * (1.0 + np.abs(after)))]
             # pair/diagonal polish after the sweeps go stationary: coordinate
             # moves alone can stall on the tie ridges of piecewise-linear
             # objectives; a successful polish move triggers another round
             polished = np.zeros(rows, dtype=bool)
-            for d in _pair_directions(n):
-                safe = np.where(d != 0.0, d, 1.0)
-                cur = f[active]
-                up = np.where(d > 0, (hi - cur) / safe, np.where(d < 0, (lo - cur) / safe, np.inf))
-                down = np.where(d > 0, (lo - cur) / safe, np.where(d < 0, (hi - cur) / safe, -np.inf))
+            pending, next_dir = active, np.zeros(active.size, dtype=int)
+            while pending.size:
+                width = max(1, _POLISH_LINES // pending.size)
+                tried = next_dir[:, None] + np.arange(width)  # (pending row, direction)
+                lines = np.nonzero(tried < len(dirs))
+                cur, d, s = f[pending[lines[0]]], dirs[tried[lines]], safe[tried[lines]]
+                up = np.where(d > 0, (hi - cur) / s, np.where(d < 0, (lo - cur) / s, np.inf))
+                down = np.where(d > 0, (lo - cur) / s, np.where(d < 0, (hi - cur) / s, -np.inf))
                 t_hi = np.min(up, axis=1)
                 t_lo = np.max(down, axis=1)
                 open_ = t_hi > t_lo
+                gain = np.zeros(tried.shape, dtype=bool)
+                ends, values = np.empty(tried.shape + (n,)), np.empty(tried.shape)
                 if open_.any():
-                    sub = active[open_]
-                    polished[move(sub, np.zeros(sub.size), t_lo[open_], t_hi[open_], along(d))] = True
+                    at = (lines[0][open_], lines[1][open_])
+                    line = along(cur[open_], d[open_])
+                    ends[at], values[at], gain[at] = search(
+                        pending[at[0]], t_lo[open_], t_hi[open_], np.zeros(at[0].size), line
+                    )
+                # the first gaining line moves its row; the row's later lines
+                # started from the old point and are searched again
+                hit = gain.argmax(axis=1)
+                moved = gain[np.arange(pending.size), hit]
+                r = pending[moved]
+                f[r], val[r] = ends[moved, hit[moved]], values[moved, hit[moved]]
+                polished[r] = True
+                next_dir = np.where(moved, next_dir + hit + 1, next_dir + width)
+                keep = next_dir < len(dirs)
+                pending, next_dir = pending[keep], next_dir[keep]
             active = active[polished[active]]
             if active.size == 0:
                 break
@@ -339,6 +369,10 @@ class ConjugateValue:
 # search rows of one lockstep ascent: bounds the scan and recentring
 # matrices, whose size grows with the dual grid
 _BATCH_ROWS = 1024
+# lines of one polish call: bounds the speculative (row, direction) batch,
+# whose scan blocks the row evaluators copy several times; the temporaries
+# grow with the cap, while the saving levels off above a few dozen lines
+_POLISH_LINES = 48
 
 
 def _conjugates(

@@ -4,7 +4,23 @@ import sys
 
 import pytest
 
-from uodual.cli import ConfigInvalid, main, parse_config, run
+from uodual.cli import _SCHEMAS, ConfigInvalid, main, parse_config, run
+
+
+# every field of every command, seed included: (command, field, schema type)
+FIELDS = [
+    (command, key, typ)
+    for command, schema in _SCHEMAS.items()
+    for key, typ in [*((k, t) for k, (t, _) in schema.items()), ("seed", int)]
+]
+# config-file values each type must refuse, and one it must take with its converted form
+BAD_FILE_VALUES = {
+    int: [20.7, 20.0, True, "20", None, [20]],
+    float: [True, False, "1.5", None, [1.5], 10**400],
+    str: [1, 1.5, True, None, ["x"]],
+}
+GOOD_FILE_VALUE = {int: (20, 20), float: (3, 3.0), str: ("x", "x")}
+BAD_FLAG_TEXT = {int: ["20.7", "true", "1e3"], float: ["true", "one", "inf"], str: []}
 
 
 def run_cli(args, tmp_path=None):
@@ -71,6 +87,24 @@ class TestParseConfig:
         path.write_text(json.dumps({field: value}))
         with pytest.raises(ConfigInvalid, match=f"'{field}'"):
             parse_config(["norm", "--config", str(path)])
+
+    @pytest.mark.parametrize("command, field, typ", FIELDS)
+    def test_every_field_is_converted_strictly(self, tmp_path, capsys, command, field, typ):
+        # config-file values used to go through the schema type, so 20.7 ran as 20 and true as 1
+        path = tmp_path / "cfg.json"
+        for value in BAD_FILE_VALUES[typ]:
+            path.write_text(json.dumps({field: value}))
+            assert main([command, "--config", str(path)]) == 1, value
+            err = capsys.readouterr().err
+            assert err.startswith(f"uodual: config error: config field '{field}':"), (value, err)
+        for text in BAD_FLAG_TEXT[typ]:
+            assert main([command, "--" + field.replace("_", "-"), text]) == 1, text
+            assert capsys.readouterr().err.startswith(f"uodual: config error: config field '{field}':"), text
+        value, converted = GOOD_FILE_VALUE[typ]
+        path.write_text(json.dumps({field: value}))
+        cfg = parse_config([command, "--config", str(path)])
+        got = cfg.seed if field == "seed" else cfg.params[field]
+        assert got == converted and type(got) is typ
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigInvalid, match="cannot read"):
@@ -203,6 +237,13 @@ class TestCliProcess:
         proc = run_cli(["norm", "--values", "2", "--out", str(out)])
         assert proc.returncode == 0
         assert json.loads(out.read_text())["results"]["value"] == pytest.approx(2.0, abs=1e-7)
+
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # the report used to be written outside main's error handling
+        assert main(["norm", "--out", str(tmp_path / "missing" / "x.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: error: FileNotFoundError:")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_help_exits_zero(self):
         proc = run_cli(["--help"])

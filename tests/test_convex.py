@@ -95,6 +95,77 @@ def dense_grid_conjugate(rho, g, bound=6.0, step=0.25):
     return best
 
 
+def _sequential_ascend(score, wg, starts, box, counts=None):
+    """Reference for ``convex._ascend``: the polish searches one direction at a time.
+
+    Every round runs one ``_maximize_1d`` per pair or diagonal direction
+    over all rows still active; ``counts``, when given, tallies those
+    polish calls and the rounds.  The sweeps are the program's.
+    """
+    lo, hi = box
+    f = np.clip(starts, lo, hi)
+    rows, n = f.shape
+    val = convex._objective(score, wg, f[:, None, :])[:, 0]
+
+    def move(sub, x0, t_lo, t_hi, probe):
+        base, w = f[sub], wg[sub]
+
+        def fun(idx, xs):
+            return convex._objective(score, w[idx], probe(base[idx], xs))
+
+        x, v = convex._maximize_1d(fun, t_lo, t_hi, x0)
+        accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
+        moved = sub[accepted]
+        f[moved] = probe(base[accepted], x[accepted, None])[:, 0]
+        val[moved] = v[accepted]
+        return moved
+
+    def coordinate(i):
+        def probe(base, xs):
+            out = np.repeat(base[:, None, :], xs.shape[1], axis=1)
+            out[:, :, i] = xs
+            return out
+
+        return probe
+
+    def along(d):
+        return lambda base, ts: np.clip(base[:, None, :] + ts[:, :, None] * d, lo, hi)
+
+    active = np.arange(rows)
+    with np.errstate(invalid="ignore"):
+        for _ in range(3):
+            sweeping = active
+            for _ in range(convex._MAX_SWEEPS):
+                if sweeping.size == 0:
+                    break
+                before = val[sweeping]
+                box_lo, box_hi = np.full(sweeping.size, lo), np.full(sweeping.size, hi)
+                for i in range(n):
+                    move(sweeping, f[sweeping, i], box_lo, box_hi, coordinate(i))
+                after = val[sweeping]
+                sweeping = sweeping[~(after - before <= convex._SWEEP_TOL * (1.0 + np.abs(after)))]
+            if counts is not None:
+                counts["rounds"] += 1
+            polished = np.zeros(rows, dtype=bool)
+            for d in convex._pair_directions(n):
+                safe = np.where(d != 0.0, d, 1.0)
+                cur = f[active]
+                up = np.where(d > 0, (hi - cur) / safe, np.where(d < 0, (lo - cur) / safe, np.inf))
+                down = np.where(d > 0, (lo - cur) / safe, np.where(d < 0, (hi - cur) / safe, -np.inf))
+                t_hi = np.min(up, axis=1)
+                t_lo = np.max(down, axis=1)
+                open_ = t_hi > t_lo
+                if open_.any():
+                    if counts is not None:
+                        counts["polish"] += 1
+                    sub = active[open_]
+                    polished[move(sub, np.zeros(sub.size), t_lo[open_], t_hi[open_], along(d))] = True
+            active = active[polished[active]]
+            if active.size == 0:
+                break
+    return f, val
+
+
 class TestFenchelConjugate:
     def test_linear_functional_conjugate(self):
         g0 = rv([1.0, 2.0, -1.0, 0.5])
@@ -366,6 +437,69 @@ class TestLockstepEngine:
             assert not np.any(field.boundary_flags), name
             for i, g in enumerate(grid):
                 assert field.values[i] == pytest.approx(rho.known_conjugate(g), abs=1e-4), (name, i)
+
+
+class TestBatchedPolish:
+    """The batched polish of ``convex._ascend`` against the one-direction-at-a-time reference."""
+
+    SP8 = ProbabilitySpace.dyadic(3)
+
+    def avar8(self):
+        rho = builtin("avar", alpha=0.25)
+        probe = RandomVariable.from_values(self.SP8, np.random.default_rng(7).uniform(-1.5, 1.5, 8))
+        mass = RandomVariable.from_values(self.SP8, [8.0] + [0.0] * 7)
+        return rho, [RandomVariable.ones(self.SP8), mass, rho.dual_witness(probe)]
+
+    def fields(self, monkeypatch, rho, grid, cfg=None):
+        """The field of the program, then the field of the reference polish."""
+        batched = ConjugateField.compute(rho, grid, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(convex, "_ascend", _sequential_ascend)
+            return batched, ConjugateField.compute(rho, grid, cfg)
+
+    @staticmethod
+    def assert_identical(a, b):
+        # repr tells -0.0 from 0.0 and prints every float to the last bit
+        assert repr(a.reports) == repr(b.reports)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.boundary_flags.tolist() == b.boundary_flags.tolist()
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_mixed_grid_under_every_builtin(self, name, monkeypatch):
+        self.assert_identical(*self.fields(monkeypatch, builtin(name), TestLockstepEngine.MIXED))
+
+    def test_eight_cell_avar_grid(self, monkeypatch):
+        batched, reference = self.fields(monkeypatch, *self.avar8())
+        self.assert_identical(batched, reference)
+        assert batched.boundary_flags.tolist() == [False, True, False]
+
+    def test_scalar_only_functional(self, monkeypatch):
+        rho = ConvexFunctional("entropic-scalar", evaluate=builtin("entropic", beta=1.0).evaluate)
+        grid = TestLockstepEngine.MIXED[:4]
+        self.assert_identical(*self.fields(monkeypatch, rho, grid, SearchConfig(extra_starts=0)))
+
+    def test_line_cap_does_not_change_the_field(self, monkeypatch):
+        rho, grid = self.avar8()
+        whole = ConjugateField.compute(rho, grid)
+        for cap in (1, 10_000):  # one line per row, and every remaining line at once
+            monkeypatch.setattr(convex, "_POLISH_LINES", cap)
+            self.assert_identical(ConjugateField.compute(rho, grid), whole)
+
+    def test_polish_calls_per_round(self, monkeypatch):
+        calls = []
+        inner = convex._maximize_1d
+        monkeypatch.setattr(convex, "_maximize_1d", lambda *a: calls.append(1) or inner(*a))
+        rho, grid = self.avar8()
+        ConjugateField.compute(rho, grid)
+        batched = len(calls)
+        counts = {"polish": 0, "rounds": 0}
+        calls.clear()
+        monkeypatch.setattr(convex, "_ascend", lambda *a: _sequential_ascend(*a, counts=counts))
+        ConjugateField.compute(rho, grid)
+        # both engines make the same coordinate moves, so the difference is all polish
+        sweeps = len(calls) - counts["polish"]
+        assert counts["polish"] >= 50 * counts["rounds"]  # 57 directions on 8 cells
+        assert batched - sweeps <= 15 * counts["rounds"]
 
 
 class TestBuiltins:
