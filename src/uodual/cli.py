@@ -299,6 +299,11 @@ def _run_norm(params: dict, seed: int):
 
 def _run_dualrep(params: dict, seed: int):
     rho = _parse_functional(params["functional"], params)
+    box = abs(params["box"])
+    try:
+        cfg = SearchConfig(box=(-box, box), seed=seed)
+    except ValueError as exc:
+        raise ConfigInvalid(f"config field 'box': {exc}") from exc
     space = ProbabilitySpace.dyadic(params["space_level"])
     rng = np.random.default_rng(seed)
     probes = [RandomVariable.zero(space), RandomVariable.constant(space, 0.5)]
@@ -310,8 +315,6 @@ def _run_dualrep(params: dict, seed: int):
         grid = [RandomVariable.zero(space)]
     if rho.dual_witness is not None:
         grid = grid + [rho.dual_witness(f) for f in probes]
-    box = abs(params["box"])
-    cfg = SearchConfig(box=(-box, box), seed=seed)
     report = dual_representation_check(rho, probes, grid, params["tol"], cfg)
     results = {
         "functional": rho.name,

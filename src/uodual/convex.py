@@ -2,16 +2,16 @@
 dual-representation checking.
 
 The conjugate ``rho*(g) = sup_f ( <f,g> - rho(f) )`` is estimated by
-multi-start coordinate ascent inside a box: each coordinate is maximised
-by a coarse scan plus golden-section refinement (the objective is concave
-in each coordinate for convex rho), sweeps repeat until stationary, and a
-polish pass along pair and diagonal directions escapes the ridge points
-that pure coordinate moves cannot leave on piecewise-linear objectives.
-The polish searches a row's next directions from its current point as
-one batch of lines, at most ``_POLISH_LINES`` per call, and keeps the
-first line that gains, so it moves exactly as one direction at a time.
-An ascent that ends on the box boundary is flagged "possibly infinite"
-rather than reported as a finite supremum.
+multi-start coordinate ascent inside a box.  Each line is maximised by a
+coarse scan plus golden-section refinement (the objective is concave on
+lines for convex rho).  Sweeps over the coordinate lines repeat until
+stationary, then a polish along pair and diagonal directions escapes the
+ridge points that coordinate moves cannot leave on piecewise-linear
+objectives.  Sweeps and polish share one batched walk: a row's next lines
+from its current point are searched together, at most ``_POLISH_LINES``
+per call, and the first that gains moves it, exactly as one line at a
+time would.  An ascent that ends on the box boundary is flagged
+"possibly infinite" rather than reported as a finite supremum.
 
 The search runs in lockstep: every (dual point, start) pair of one
 ``ConjugateField.compute`` call is a row of one matrix, and each scan,
@@ -112,11 +112,23 @@ class ConvexFunctional:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the conjugate search; defaults suit spaces of up to ~8 points."""
+    """Knobs for the conjugate search; defaults suit spaces of up to ~8 points.
+
+    ``box`` must be a finite interval ``(lo, hi)`` with lo < hi and
+    ``extra_starts`` an int >= 0, or the constructor raises ValueError.
+    """
 
     box: tuple[float, float] = (-64.0, 64.0)
     extra_starts: int = 1
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        lo, hi = self.box
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"box must be a finite interval (lo, hi) with lo < hi, got {self.box!r}")
+        k = self.extra_starts
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise ValueError(f"extra_starts must be an int >= 0, got {k!r}")
 
 
 # coordinate sweeps per polish round, and the relative gain that counts as movement
@@ -236,14 +248,9 @@ def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray):
 
 def _pair_directions(n: int) -> np.ndarray:
     """The polish directions, one per row: the diagonal, then e_i - e_j and e_i + e_j for i < j."""
-    dirs = [np.ones(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sign in (-1.0, 1.0):
-                d = np.zeros(n)
-                d[i], d[j] = 1.0, sign
-                dirs.append(d)
-    return np.array(dirs)
+    e = np.eye(n)
+    pairs = [e[i] + s * e[j] for i in range(n) for j in range(i + 1, n) for s in (-1.0, 1.0)]
+    return np.array([np.ones(n), *pairs])
 
 
 def _objective(score, wg: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -255,21 +262,64 @@ def _objective(score, wg: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return np.einsum("kmn,kn->km", probes, wg) - score(probes.reshape(k * m, n)).reshape(k, m)
 
 
+def _walk(objective, f, val, sub, count, bounds, points) -> np.ndarray:
+    """Move each row of ``sub`` along lines ``0 .. count - 1`` of one family, in order.
+
+    ``bounds(base, k)`` gives the abscissa interval and start of line
+    ``k[j]`` through ``base[j]``, ``points(base, k, ts)`` the points of
+    those lines at the abscissae ``ts``, and ``objective(r, probes)`` the
+    values of rows ``r`` there.  While a row has not moved, its next lines
+    all start from the same point, so they are searched as one batch: at
+    most ``_POLISH_LINES`` lines per call, and at least one per row.  Each
+    row takes the first gaining line of its batch and searches the lines
+    after it again from its new point, so the moves are exactly those of
+    one line at a time.  Updates ``f`` and ``val`` in place and returns
+    the mask, over all rows, of those that moved.
+    """
+    moved_any = np.zeros(f.shape[0], dtype=bool)
+    pending, next_line = sub, np.zeros(sub.size, dtype=int)
+    while pending.size:
+        width = max(1, _POLISH_LINES // pending.size)
+        tried = next_line[:, None] + np.arange(width)  # (pending row, line)
+        lines = np.nonzero(tried < count)
+        base, k = f[pending[lines[0]]], tried[lines]
+        t_lo, t_hi, x0 = bounds(base, k)
+        open_ = t_hi > t_lo
+        gain = np.zeros(tried.shape, dtype=bool)
+        ends, values = np.empty(tried.shape + f.shape[1:]), np.empty(tried.shape)
+        if open_.any():
+            at = (lines[0][open_], lines[1][open_])
+            owner, base, k = pending[at[0]], base[open_], k[open_]
+
+            def line(idx, ts):
+                return objective(owner[idx], points(base[idx], k[idx], ts))
+
+            x, v = _maximize_1d(line, t_lo[open_], t_hi[open_], x0[open_])
+            ends[at], values[at] = points(base, k, x[:, None])[:, 0], v
+            # improvements must clear rounding noise, or flat objectives would
+            # drift to the box and be misread as unbounded
+            gain[at] = v > val[owner] + 1e-12 * (1.0 + np.abs(val[owner]))
+        # the first gaining line moves its row; the row's later lines
+        # started from the old point and are searched again
+        hit = gain.argmax(axis=1)
+        moved = gain[np.arange(pending.size), hit]
+        r = pending[moved]
+        f[r], val[r] = ends[moved, hit[moved]], values[moved, hit[moved]]
+        moved_any[r] = True
+        next_line = np.where(moved, next_line + hit + 1, next_line + width)
+        keep = next_line < count
+        pending, next_line = pending[keep], next_line[keep]
+    return moved_any
+
+
 def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float]):
     """Coordinate ascent of ``_objective`` from every row of ``starts`` at once.
 
-    Rows run in lockstep but never interact: a row leaves the sweeps when
-    its own sweep goes stationary and leaves the rounds when its own
-    polish finds no move, as a search of that row alone would.
-
-    The polish tries the pair and diagonal directions in order and moves
-    along each one that gains.  While a row has not moved, its next
-    directions all start from the same point, so they are searched as one
-    batch of lines: at most ``_POLISH_LINES`` lines per call, and at least
-    one per row.  Each row then takes the first gaining line of its batch
-    and searches the directions after it again from its new point, so the
-    moves are exactly those of one direction at a time.  Returns the final
-    points and their objective values, one row per start.
+    Sweeps walk the n coordinate lines (coordinate i set to the abscissa,
+    on the box) until a row's sweep goes stationary; the polish then walks
+    the pair and diagonal directions d (the points ``clip(f + t d)``), and
+    a polish move starts another round.  Rows run in lockstep but never
+    interact.  Returns the final points and their values, one row per start.
     """
     lo, hi = box
     f = np.clip(starts, lo, hi)
@@ -278,30 +328,25 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float])
     dirs = _pair_directions(n)
     safe = np.where(dirs != 0.0, dirs, 1.0)
 
-    def search(sub, t_lo, t_hi, x0, points):
-        """Maximise along one line per entry of ``sub``, a row index that may repeat.
+    def objective(r, probes):
+        return _objective(score, wg[r], probes)
 
-        ``points(idx, xs)`` builds the points of lines ``idx`` at the
-        abscissae ``xs``.  Returns each line's best point, its value, and
-        whether that value beats the row's current one.
-        """
-        w = wg[sub]
-        x, v = _maximize_1d(lambda idx, xs: _objective(score, w[idx], points(idx, xs)), t_lo, t_hi, x0)
-        # improvements must clear rounding noise, or flat objectives would
-        # drift to the box and be misread as unbounded
-        accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
-        return points(slice(None), x[:, None])[:, 0], v, accepted
+    def coordinate(base, k):
+        return np.full(k.size, lo), np.full(k.size, hi), base[np.arange(k.size), k]
 
-    def coordinate(base, i):
-        def points(idx, xs):
-            out = np.repeat(base[idx][:, None, :], xs.shape[1], axis=1)
-            out[:, :, i] = xs
-            return out
+    def set_coordinate(base, k, xs):
+        out = np.repeat(base[:, None, :], xs.shape[1], axis=1)
+        out[np.arange(k.size), :, k] = xs
+        return out
 
-        return points
+    def direction(base, k):
+        d, s = dirs[k], safe[k]
+        up = np.where(d > 0, (hi - base) / s, np.where(d < 0, (lo - base) / s, np.inf))
+        down = np.where(d > 0, (lo - base) / s, np.where(d < 0, (hi - base) / s, -np.inf))
+        return np.max(down, axis=1), np.min(up, axis=1), np.zeros(k.size)
 
-    def along(base, d):
-        return lambda idx, ts: np.clip(base[idx][:, None, :] + ts[:, :, None] * d[idx][:, None, :], lo, hi)
+    def along(base, k, ts):
+        return np.clip(base[:, None, :] + ts[:, :, None] * dirs[k][:, None, :], lo, hi)
 
     active = np.arange(rows)
     with np.errstate(invalid="ignore"):
@@ -311,46 +356,10 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float])
                 if sweeping.size == 0:
                     break
                 before = val[sweeping]
-                box_lo, box_hi = np.full(sweeping.size, lo), np.full(sweeping.size, hi)
-                for i in range(n):
-                    end, v, ok = search(sweeping, box_lo, box_hi, f[sweeping, i], coordinate(f[sweeping], i))
-                    f[sweeping[ok]], val[sweeping[ok]] = end[ok], v[ok]
+                _walk(objective, f, val, sweeping, n, coordinate, set_coordinate)
                 after = val[sweeping]
                 sweeping = sweeping[~(after - before <= _SWEEP_TOL * (1.0 + np.abs(after)))]
-            # pair/diagonal polish after the sweeps go stationary: coordinate
-            # moves alone can stall on the tie ridges of piecewise-linear
-            # objectives; a successful polish move triggers another round
-            polished = np.zeros(rows, dtype=bool)
-            pending, next_dir = active, np.zeros(active.size, dtype=int)
-            while pending.size:
-                width = max(1, _POLISH_LINES // pending.size)
-                tried = next_dir[:, None] + np.arange(width)  # (pending row, direction)
-                lines = np.nonzero(tried < len(dirs))
-                cur, d, s = f[pending[lines[0]]], dirs[tried[lines]], safe[tried[lines]]
-                up = np.where(d > 0, (hi - cur) / s, np.where(d < 0, (lo - cur) / s, np.inf))
-                down = np.where(d > 0, (lo - cur) / s, np.where(d < 0, (hi - cur) / s, -np.inf))
-                t_hi = np.min(up, axis=1)
-                t_lo = np.max(down, axis=1)
-                open_ = t_hi > t_lo
-                gain = np.zeros(tried.shape, dtype=bool)
-                ends, values = np.empty(tried.shape + (n,)), np.empty(tried.shape)
-                if open_.any():
-                    at = (lines[0][open_], lines[1][open_])
-                    line = along(cur[open_], d[open_])
-                    ends[at], values[at], gain[at] = search(
-                        pending[at[0]], t_lo[open_], t_hi[open_], np.zeros(at[0].size), line
-                    )
-                # the first gaining line moves its row; the row's later lines
-                # started from the old point and are searched again
-                hit = gain.argmax(axis=1)
-                moved = gain[np.arange(pending.size), hit]
-                r = pending[moved]
-                f[r], val[r] = ends[moved, hit[moved]], values[moved, hit[moved]]
-                polished[r] = True
-                next_dir = np.where(moved, next_dir + hit + 1, next_dir + width)
-                keep = next_dir < len(dirs)
-                pending, next_dir = pending[keep], next_dir[keep]
-            active = active[polished[active]]
+            active = active[_walk(objective, f, val, active, len(dirs), direction, along)[active]]
             if active.size == 0:
                 break
     return f, val
@@ -369,9 +378,10 @@ class ConjugateValue:
 # search rows of one lockstep ascent: bounds the scan and recentring
 # matrices, whose size grows with the dual grid
 _BATCH_ROWS = 1024
-# lines of one polish call: bounds the speculative (row, direction) batch,
-# whose scan blocks the row evaluators copy several times; the temporaries
-# grow with the cap, while the saving levels off above a few dozen lines
+# lines of one walk call, in the sweeps and the polish alike: bounds the
+# speculative (row, line) batch, whose scan blocks the row evaluators copy
+# several times; the temporaries grow with the cap, while the saving
+# levels off above a few dozen lines
 _POLISH_LINES = 48
 
 
@@ -410,10 +420,7 @@ def _lockstep(
                 owner.append(p)
                 starts.append(start)
     wg = duals * space.weight_array
-
-    def score(matrix):
-        return rho.rows(space, matrix)
-
+    score = functools.partial(rho.rows, space)
     f, val = _ascend(score, wg[owner], np.array(starts), cfg.box)
     bounds = np.searchsorted(owner, np.arange(len(duals) + 1))
     best = np.array([s + int(np.argmax(val[s:e])) for s, e in zip(bounds[:-1], bounds[1:])])
@@ -564,21 +571,13 @@ def dual_representation_check(
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     conjugates = ConjugateField.compute(rho, dual_points, config)
-    gaps = []
-    rho_vals = []
-    bi_vals = []
-    witness = None
-    for i, f in enumerate(probes):
-        r = rho.evaluate(f)
-        b = biconjugate(conjugates, f)
-        gap = r - b
-        gaps.append(gap)
-        rho_vals.append(r)
-        bi_vals.append(b)
-        if witness is None and gap > tol:
-            witness = i
+    probes = list(probes)
+    rho_vals = tuple(rho.evaluate(f) for f in probes)
+    bi_vals = tuple(biconjugate(conjugates, f) for f in probes)
+    gaps = tuple(r - b for r, b in zip(rho_vals, bi_vals))
+    witness = next((i for i, gap in enumerate(gaps) if gap > tol), None)
     verdict = "representable-evidence" if witness is None else "gap-found"
-    return DualRepReport(tuple(gaps), tuple(rho_vals), tuple(bi_vals), verdict, witness, tol, conjugates)
+    return DualRepReport(gaps, rho_vals, bi_vals, verdict, witness, tol, conjugates)
 
 
 # -- dual grids ---------------------------------------------------------------

@@ -69,16 +69,16 @@ class OrliczFunction:
 
     @classmethod
     def power(cls, p: float, scale: float = 1.0) -> OrliczFunction:
-        if not p >= 1:
-            raise ValueError("power exponent must be >= 1 for convexity")
-        if not scale > 0:
-            raise ValueError("scale must be > 0")
+        if not 1 <= p < math.inf:
+            raise ValueError("power exponent must be finite and >= 1 for convexity")
+        if not 0 < scale < math.inf:
+            raise ValueError("scale must be finite and > 0")
         return cls("power", p=float(p), scale=float(scale))
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> OrliczFunction:
-        if not rate > 0:
-            raise ValueError("rate must be > 0")
+        if not 0 < rate < math.inf:
+            raise ValueError("rate must be finite and > 0")
         # exp overflows past ~709/rate; cap the trusted range accordingly
         return cls("exp", rate=float(rate), domain_cap=700.0 / rate)
 

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uodual.cli import _SCHEMAS, ConfigInvalid, main, parse_config, run
+from uodual.convex import builtin_names
 
 
 # every field of every command, seed included: (command, field, schema type)
@@ -214,11 +220,22 @@ class TestCliProcess:
         ["fatou", "--tol", "nan"],
         ["norm", "--tol", "nan"],
         ["norm", "--phi", "power:nan"],
+        # these three used to report a norm of 1.0 for 1*s^inf, or fail at run time
+        ["norm", "--phi", "power:inf"],
+        ["norm", "--phi", "power:2:inf"],
+        ["norm", "--phi", "exp:inf"],
     ])
     def test_non_finite_float_is_config_error(self, argv):
         proc = run_cli(argv)
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+    def test_empty_search_box_is_config_error(self, capsys):
+        # --box 0 used to search the single point 0 and report representable-evidence
+        assert main(["dualrep", "--box", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: config error: config field 'box':")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("seq", ["typewriter", "oscillating", "constant"])
     def test_sequence_without_limit_is_config_error(self, seq, capsys):
@@ -258,3 +275,92 @@ class TestCliProcess:
         code = main(["fatou", "--rho", "neg-expectation", "--seq", "spike", "--n-max", "16",
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+
+# values each field may take, bounded so that every run finishes in seconds
+_NAMES = st.sampled_from(builtin_names())
+_VALUES = {
+    "phi": st.sampled_from(["power:2", "power:1", "power:3:0.5", "power:1.5:4", "exp", "exp:0.5"]),
+    "s_max": st.floats(0.1, 1000.0),
+    "grid_size": st.integers(64, 1024),
+    "tol": st.floats(1e-9, 0.1),
+    "probes": st.integers(0, 8),
+    "values": st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6).map(lambda v: ",".join(map(repr, v))),
+    "functional": _NAMES,
+    "rho": _NAMES,
+    "beta": st.floats(0.01, 5.0),
+    "alpha": st.floats(0.01, 1.0),
+    "radius": st.floats(0.01, 5.0),
+    "space_level": st.integers(0, 2),
+    "dual_grid_step": st.sampled_from([0.5, 1.0, 2.0]),
+    "box": st.floats(-100.0, 100.0),
+    "seq": st.sampled_from(["spike", "typewriter", "oscillating", "constant"]),
+    "n_max": st.integers(16, 64),
+    "model": st.sampled_from(["ell1", "c0", "ellInfty"]),
+    "budget": st.integers(100, 1000),
+    "seed": st.integers(0, 2**32),
+}
+# uodual-test reads its phi as a sequence-space vector, not as an Orlicz function
+_VECTORS = st.sampled_from([
+    "ones", "zero", "e3", "geometric:1:0.5", "geometric:1:0.99", "constant:0.5", "prefix:1,-2",
+])
+# malformed or out-of-range values of each schema type, drawn now and then in place of the above
+_BAD = {
+    str: st.sampled_from(["nonsense", "power:0.5", "power:inf", "exp:inf", "", "1,x"]),
+    int: st.integers(-5, 0),
+    float: st.sampled_from([-1.0, 0.0, 0.3, 1e300]),
+}
+_JUNK = st.sampled_from([None, True, "x", [1], {"a": 1}])  # the wrong JSON type for any field
+_TYPES = {key: typ for schema in _SCHEMAS.values() for key, (typ, _) in schema.items()} | {"seed": int}
+
+
+def _rarely(draw):
+    return draw(st.integers(0, 9)) == 0
+
+
+@st.composite
+def invocations(draw):
+    """An argv for one command and the text of its config file (None for no file).
+
+    Each field keeps its default, comes from a flag, or comes from the file.
+    """
+    command = draw(st.sampled_from(sorted(_SCHEMAS)))
+    argv, file_values = [command], {}
+    for key in [*_SCHEMAS[command], "seed"]:
+        route = draw(st.sampled_from(["default", "flag", "file"]))
+        if route == "default":
+            continue
+        good = _VECTORS if (command, key) == ("uodual-test", "phi") else _VALUES[key]
+        value = draw(_BAD[_TYPES[key]] if _rarely(draw) else good)
+        if route == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            file_values[key] = draw(_JUNK) if _rarely(draw) else value
+    if draw(st.booleans()):
+        argv.append("--timing")
+    text = None
+    if file_values or draw(st.booleans()):
+        text = json.dumps(file_values)
+        if _rarely(draw):
+            text = draw(st.sampled_from([text[:-1], "[1]", '{"frobnicate": 1}']))
+    return argv, text
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(invocations())
+    def test_every_invocation_keeps_the_contract(self, invocation):
+        argv, text = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if text is not None:
+                path = os.path.join(tmp, "config.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                argv = [*argv, "--config", path]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue(), (argv, text)
+        if out.getvalue():
+            assert json.loads(out.getvalue())["schema"] == "uodual/1", (argv, text)

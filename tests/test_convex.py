@@ -231,6 +231,27 @@ class TestFenchelConjugate:
             fenchel_conjugate(rho, g)
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize("box", [(0.0, 0.0), (5.0, -5.0), (-math.inf, math.inf), (-64.0, math.nan)])
+    def test_box_must_be_a_finite_interval(self, box):
+        # an empty box used to return 0.0 unflagged for a conjugate of log 2; the others
+        # failed inside numpy or with OverflowError
+        with pytest.raises(ValueError, match="box"):
+            SearchConfig(box=box)
+
+    @pytest.mark.parametrize("extra_starts", [-3, -5, 1.5, True])
+    def test_extra_starts_must_be_a_count(self, extra_starts):
+        # -3 used to raise ZeroDivisionError and -5 to run with no extra starts
+        with pytest.raises(ValueError, match="extra_starts"):
+            SearchConfig(extra_starts=extra_starts)
+
+    def test_valid_configs_are_kept(self):
+        cfg = SearchConfig(box=(-1.0, 2.0), extra_starts=np.int64(0), seed=3)
+        assert cfg.box == (-1.0, 2.0) and cfg.extra_starts == 0
+        cv = fenchel_conjugate(builtin("entropic", beta=1.0), rv([2.0, 2.0, 0.0, 0.0]), SearchConfig())
+        assert cv.value == pytest.approx(math.log(2.0), abs=1e-6) and not cv.possibly_infinite
+
+
 class TestConjugateField:
     def test_compute(self):
         rho = builtin("expectation")
@@ -485,21 +506,46 @@ class TestBatchedPolish:
             monkeypatch.setattr(convex, "_POLISH_LINES", cap)
             self.assert_identical(ConjugateField.compute(rho, grid), whole)
 
-    def test_polish_calls_per_round(self, monkeypatch):
-        calls = []
+    def program_calls(self, monkeypatch):
+        """The program's ``_maximize_1d`` calls on the 8-cell AVaR grid: (sweeps, polish).
+
+        A call belongs to the walk it runs in; the sweeps walk the n coordinate lines.
+        """
+        calls, walks = [], []
+        walk, inner = convex._walk, convex._maximize_1d
+
+        def tagged(objective, f, val, sub, count, bounds, points):
+            walks.append("sweep" if count == f.shape[1] else "polish")
+            return walk(objective, f, val, sub, count, bounds, points)
+
+        with monkeypatch.context() as m:
+            m.setattr(convex, "_walk", tagged)
+            m.setattr(convex, "_maximize_1d", lambda *a: calls.append(walks[-1]) or inner(*a))
+            ConjugateField.compute(*self.avar8())
+        return calls.count("sweep"), calls.count("polish")
+
+    def reference_calls(self, monkeypatch):
+        """The reference's ``_maximize_1d`` calls on the same grid: (sweeps, polish, rounds)."""
+        calls, counts = [], {"polish": 0, "rounds": 0}
         inner = convex._maximize_1d
-        monkeypatch.setattr(convex, "_maximize_1d", lambda *a: calls.append(1) or inner(*a))
-        rho, grid = self.avar8()
-        ConjugateField.compute(rho, grid)
-        batched = len(calls)
-        counts = {"polish": 0, "rounds": 0}
-        calls.clear()
-        monkeypatch.setattr(convex, "_ascend", lambda *a: _sequential_ascend(*a, counts=counts))
-        ConjugateField.compute(rho, grid)
-        # both engines make the same coordinate moves, so the difference is all polish
-        sweeps = len(calls) - counts["polish"]
-        assert counts["polish"] >= 50 * counts["rounds"]  # 57 directions on 8 cells
-        assert batched - sweeps <= 15 * counts["rounds"]
+        with monkeypatch.context() as m:
+            m.setattr(convex, "_maximize_1d", lambda *a: calls.append(1) or inner(*a))
+            m.setattr(convex, "_ascend", lambda *a: _sequential_ascend(*a, counts=counts))
+            ConjugateField.compute(*self.avar8())
+        return len(calls) - counts["polish"], counts["polish"], counts["rounds"]
+
+    def test_polish_calls_per_round(self, monkeypatch):
+        # the two engines make the same moves in the same rounds, but not the same sweep calls
+        _, polish = self.program_calls(monkeypatch)
+        _, reference, rounds = self.reference_calls(monkeypatch)
+        assert reference >= 50 * rounds  # 57 directions on 8 cells
+        assert polish <= 15 * rounds
+
+    def test_sweeps_share_the_batched_walk(self, monkeypatch):
+        # the sweeps used to run one call per coordinate, as the reference does
+        sweeps, _ = self.program_calls(monkeypatch)
+        reference, _, _ = self.reference_calls(monkeypatch)
+        assert sweeps <= reference / 2
 
 
 class TestBuiltins:

@@ -64,12 +64,12 @@ class TestOrliczFunction:
         assert phi(1.0) == pytest.approx(math.e - 1)
 
     def test_power_requires_convexity(self):
-        for p in (0.5, math.nan):
+        for p in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="convexity"):
                 OrliczFunction.power(p)
 
     def test_scale_and_rate_must_be_positive(self):
-        for bad in (0.0, math.nan):
+        for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="scale"):
                 OrliczFunction.power(2, bad)
             with pytest.raises(ValueError, match="rate"):
