@@ -30,8 +30,10 @@ from .convex import (
     builtin,
     density_lattice,
     dual_representation_check,
+    lattice_units,
 )
 from .fatou import (
+    MIN_N_MAX,
     ExtractionStalled,
     NotConvergent,
     check_bounded_uo_lsc,
@@ -39,6 +41,8 @@ from .fatou import (
     generate,
 )
 from .lattice import (
+    MAX_BUDGET,
+    MIN_BUDGET,
     SpaceModel,
     TailVector,
     VectorSequence,
@@ -48,8 +52,8 @@ from .lattice import (
     uo_dual_expected,
     uo_dual_test,
 )
-from .measure import ProbabilitySpace, RandomVariable
-from .orlicz import OrliczFunction, conjugate, luxemburg_norm
+from .measure import ProbabilitySpace, RandomVariable, check_tol
+from .orlicz import MIN_GRID_SIZE, OrliczFunction, conjugate, luxemburg_norm
 
 __all__ = ["ConfigInvalid", "ExperimentConfig", "main", "parse_config", "run"]
 
@@ -137,6 +141,14 @@ def _as_str(value):
 # itself first, then converted like a config-file value
 _CONVERT = {int: _as_int, float: _as_float, str: _as_str}
 
+# the range the library accepts for each field it bounds, read from the library
+_BOUNDS = {
+    "grid_size": (MIN_GRID_SIZE, math.inf),
+    "space_level": (0, math.inf),
+    "n_max": (MIN_N_MAX, math.inf),
+    "budget": (MIN_BUDGET, MAX_BUDGET),
+}
+
 
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Parse command-line flags, merging an optional JSON config file.
@@ -146,8 +158,9 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     Every field, ``seed`` included, is converted strictly, from a flag or
     from the file alike: an int field takes only an integer (not a bool or
     a float), a float field an int or a finite float (not a bool), a
-    string field a string.  A value that fails raises ConfigInvalid naming
-    the field; so does an ``out`` that is not a string.
+    string field a string.  A field whose range the library bounds must
+    then pass the library's own check.  A value that fails raises
+    ConfigInvalid naming the field; so does an ``out`` that is not a string.
     """
     parser = argparse.ArgumentParser(
         prog="uodual",
@@ -194,7 +207,14 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
                 params[key] = convert(typ(flag))
             else:
                 params[key] = convert(file_values.get(key, default))
-        except (TypeError, ValueError, OverflowError) as exc:
+            value = params[key]
+            if key in _BOUNDS and not _BOUNDS[key][0] <= value <= _BOUNDS[key][1]:
+                raise ValueError("must lie in [{}, {}], got {!r}".format(*_BOUNDS[key], value))
+            if key == "tol":
+                check_tol(value, positive=ns.command == "norm")  # luxemburg_norm needs tol > 0
+            if key == "dual_grid_step":
+                lattice_units(2.0 ** -params["space_level"], value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigInvalid(f"config field {key!r}: {exc}") from exc
     unknown = set(file_values) - set(schema) - {"seed", "out", "command"}
     if unknown:

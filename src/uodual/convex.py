@@ -3,25 +3,26 @@ dual-representation checking.
 
 The conjugate ``rho*(g) = sup_f ( <f,g> - rho(f) )`` is estimated by
 multi-start coordinate ascent inside a box.  Each line is maximised by a
-coarse scan plus golden-section refinement (the objective is concave on
-lines for convex rho).  Sweeps over the coordinate lines repeat until
-stationary, then a polish along pair and diagonal directions escapes the
-ridge points that coordinate moves cannot leave on piecewise-linear
-objectives.  Sweeps and polish share one batched walk: a row's next lines
-from its current point are searched together, at most ``_POLISH_LINES``
-per call, and the first that gains moves it, exactly as one line at a
-time would.  An ascent that ends on the box boundary is flagged
-"possibly infinite" rather than reported as a finite supremum.
+coarse scan plus a multi-point section search that stops when concavity
+certifies the value (the objective is concave on lines for convex rho).
+Sweeps over the coordinate lines repeat until stationary, then a polish
+along pair and diagonal directions escapes the ridge points that
+coordinate moves cannot leave on piecewise-linear objectives.  Sweeps and
+polish share one batched walk: a row's next lines from its current point
+are searched together, at most ``_POLISH_LINES`` per call, and the first
+that gains moves it, exactly as one line at a time would.  An ascent that
+ends on the box boundary is flagged "possibly infinite" rather than
+reported as a finite supremum.
 
 The search runs in lockstep: every (dual point, start) pair of one
-``ConjugateField.compute`` call is a row of one matrix, and each scan,
-golden-section step and recentring is a single numpy call over the rows
-still moving.  Rows never interact, so each follows the path a search of
-its own point from its own start would take; ``fenchel_conjugate`` is the
-one-point case.  Functionals score a ``(rows, n)`` matrix of candidates
-through ``ConvexFunctional.rows``: the builtins do it in one call (a
-logsumexp, max or mean along an axis, AVaR by a row sort), and a
-functional given only a scalar ``evaluate`` is called once per row.
+``ConjugateField.compute`` call is a row of one matrix, and each scan is
+a single numpy call over the rows still moving.  Rows never interact, so
+each follows the path a search of its own point from its own start would
+take; ``fenchel_conjugate`` is the one-point case.  Functionals score a
+``(rows, n)`` matrix of candidates through ``ConvexFunctional.rows``:
+the builtins do it in one call (a logsumexp, max or mean along an axis,
+AVaR by a row sort), and a functional given only a scalar ``evaluate``
+is called once per row.
 
 The biconjugate over a finite dual grid is a lower bound for the true
 lower-semicontinuous convex hull; ``dual_representation_check`` compares
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import ProbabilitySpace, RandomVariable, integrate
+from .measure import ProbabilitySpace, RandomVariable, check_tol, integrate
 
 __all__ = [
     "ConjugateField",
@@ -136,114 +137,77 @@ _MAX_SWEEPS = 40
 _SWEEP_TOL = 1e-12
 # relative spread allowed between the restarts of one point
 _VALUE_TOL = 1e-5
-# scan points per coordinate line and golden-section steps after the scans
+# scan points per coordinate line, and per row and call of the section search
 _COARSE_POINTS = 21
-_GOLDEN_ITERS = 60
+_SECTION_POINTS = 16
+# rows of one section-search call: bounds its (rows, points) scan, which the
+# 2,049-row Orlicz refinement would otherwise hold at once
+_SECTION_ROWS = 512
 # share of the box width within which a maximiser counts as on the boundary
 _BOUNDARY_MARGIN = 1e-6
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_RECENTRE_LEVELS = 80
 
+def _scan(fun, rows, xs: np.ndarray, best_x: np.ndarray, best_v: np.ndarray):
+    """Per row, move to the best scanned point (the first of equals) if it beats the current best.
 
-def golden_section_max(fun, a, b, iterations: int, centre=None):
-    """Vectorised golden-section search for per-row maxima of concave slices.
-
-    ``fun(idx, x)`` evaluates the rows selected by ``idx`` (an index array,
-    or a full slice) at a matrix of abscissae, one matrix row per selected
-    row.  Each row shrinks its bracket ``[a, b]`` until it is narrower than
-    1e-13 relative or ``iterations`` run out; a row that has stopped is no
-    longer evaluated.  With ``centre`` given, rows whose two first probes
-    are both -inf (indicator slices) are recentred first: the bracket
-    halves toward the centre, and the first of 80 levels with a finite
-    probe is kept (the last one if none is).  The levels have the closed
-    form ``centre + (a - centre) / 2**k``, so all are evaluated at once,
-    in one call per probe.
-    Returns ``(x, value)``, the better of the two final probes of each row.
+    Returns the new best points and values, the scanned values and the best scan index.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    rows = slice(None)  # every row is alive until the first one stops
-    f1, f2 = fun(rows, np.stack([x1, x2], axis=1)).T.copy()
-    if centre is not None:
-        stuck = np.flatnonzero(~(f1 > -np.inf) & ~(f2 > -np.inf))
-        if stuck.size:
-            c = centre[stuck, None]
-            halving = 0.5 ** np.arange(1, _RECENTRE_LEVELS + 1)
-            la = c + (a[stuck, None] - c) * halving
-            lb = c + (b[stuck, None] - c) * halving
-            l1 = lb - _GOLDEN * (lb - la)
-            l2 = la + _GOLDEN * (lb - la)
-            lf1, lf2 = fun(stuck, l1), fun(stuck, l2)
-            finite = (lf1 > -np.inf) | (lf2 > -np.inf)
-            level = np.where(finite.any(axis=1), finite.argmax(axis=1), _RECENTRE_LEVELS - 1)
-            pick = (np.arange(stuck.size), level)
-            a[stuck], b[stuck], x1[stuck], x2[stuck] = la[pick], lb[pick], l1[pick], l2[pick]
-            f1[stuck], f2[stuck] = lf1[pick], lf2[pick]
-    x_out = np.empty(a.size)
-    v_out = np.empty(a.size)
-
-    def settle(rows, x1, x2, f1, f2):
-        second = f2 > f1
-        x_out[rows] = np.where(second, x2, x1)
-        v_out[rows] = np.where(second, f2, f1)
-
-    alive = np.arange(a.size)
-    for _ in range(iterations):
-        # f1 < f2: the maximum lies right of x1, and x2 becomes the inner probe
-        right = f1 < f2
-        a, b = np.where(right, x1, a), np.where(right, b, x2)
-        width = b - a
-        gap = _GOLDEN * width
-        probe = np.where(right, a + gap, b - gap)
-        fp = fun(rows, probe[:, None])[:, 0]
-        x1, x2 = np.where(right, x2, probe), np.where(right, probe, x1)
-        f1, f2 = np.where(right, f2, fp), np.where(right, fp, f1)
-        done = width < 1e-13 * (1.0 + np.abs(b))
-        if done.any():
-            settle(alive[done], x1[done], x2[done], f1[done], f2[done])
-            keep = ~done
-            alive, a, b, x1, x2, f1, f2 = (v[keep] for v in (alive, a, b, x1, x2, f1, f2))
-            rows = alive
-            if alive.size == 0:
-                break
-    settle(alive, x1, x2, f1, f2)
-    return x_out, v_out
-
-
-def _scan(fun, xs: np.ndarray, best_x: np.ndarray, best_v: np.ndarray):
-    """Per row, move to the best scanned point (the first of equals) if it beats the current best."""
-    rows = np.arange(xs.shape[0])
     values = fun(rows, xs)
+    r = np.arange(xs.shape[0])
     j = np.argmax(values, axis=1)
-    top = values[rows, j]
+    top = values[r, j]
     better = top > best_v
-    return np.where(better, xs[rows, j], best_x), np.where(better, top, best_v)
+    return np.where(better, xs[r, j], best_x), np.where(better, top, best_v), values, j
+
+
+def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarray, h: np.ndarray):
+    """Vectorised section search for per-row maxima of concave slices on ``[lo, hi]``.
+
+    ``fun(idx, xs)`` evaluates the rows ``idx`` (an index array) at a
+    matrix of abscissae, one matrix row per row.  Each row starts from its
+    best point ``x``, of value ``v``, found by a scan of spacing ``h``, so
+    a concave slice peaks in ``[x - h, x + h]``.  Each call scans
+    ``_SECTION_POINTS`` even points of that bracket, cut to the box; ``x``
+    moves only on a strict gain and ``h`` becomes the scan's spacing.  A
+    row stops when concavity certifies its value: the slice's maximum
+    exceeds a best scan point with both neighbours by at most the larger
+    neighbour drop, here at most 1e-13 (1 + |v|).  Otherwise it stops at a
+    bracket of 1e-15 relative, a few ulps of ``x``.  A bracket whose points
+    are all -inf simply shrinks around ``x``.  Returns ``(x, v)``; ``v`` is
+    never below the start and is ``fun`` at ``x``.
+    """
+    x, v, h = (np.array(a, dtype=float) for a in (x, v, h))
+    pending = np.arange(x.size)  # queue: a call takes its head, rows going on rejoin the back
+    with np.errstate(invalid="ignore"):
+        while pending.size:
+            rows, pending = pending[:_SECTION_ROWS], pending[_SECTION_ROWS:]
+            a = np.maximum(lo[rows], x[rows] - h[rows])
+            b = np.minimum(hi[rows], x[rows] + h[rows])
+            h[rows] = step = (b - a) / (_SECTION_POINTS - 1)
+            xs = a[:, None] + step[:, None] * np.arange(_SECTION_POINTS)
+            xs[:, -1] = b  # a box end is scanned exactly
+            x[rows], v[rows], values, j = _scan(fun, rows, xs, x[rows], v[rows])
+            r = np.arange(rows.size)
+            inner = np.clip(j, 1, _SECTION_POINTS - 2)
+            drop = values[r, j] - np.minimum(values[r, inner - 1], values[r, inner + 1])
+            certified = (j == inner) & (drop <= 1e-13 * (1.0 + np.abs(v[rows])))
+            # written so that a NaN bracket fails the test and stops too
+            wide = 2.0 * h[rows] >= 1e-15 * (1.0 + np.abs(x[rows]))
+            pending = np.concatenate([pending, rows[wide & ~certified]])
+    return x, v
 
 
 def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray):
-    """Two-stage scan then golden-section refinement of concave 1-D slices, per row.
+    """Coarse scan, then section search, of concave 1-D slices, per row.
 
-    The scans guard against slices that are -inf on most of the box
-    (indicator functionals), where golden section alone could discard the
-    finite region.  The current point x0 is always a candidate, so the
-    surrounding ascent never regresses.
+    The coarse scan guards against slices that are -inf on most of the
+    box (indicator functionals), where a narrow bracket alone could miss
+    the finite region.  The current point x0 is always a candidate, so
+    the surrounding ascent never regresses.
     """
-    coarse = np.linspace(lo, hi, _COARSE_POINTS, axis=1)
-    first = np.concatenate([x0[:, None], coarse], axis=1)
-    best_x, best_v = _scan(fun, first, x0, np.full(x0.size, -np.inf))
-    step = (hi - lo) / (_COARSE_POINTS - 1)
-    a = np.maximum(lo, best_x - step)
-    b = np.minimum(hi, best_x + step)
-    best_x, best_v = _scan(fun, np.linspace(a, b, 9, axis=1), best_x, best_v)
-    fine = (b - a) / 8.0
-    a = np.maximum(lo, best_x - fine)
-    b = np.minimum(hi, best_x + fine)
-    x, v = golden_section_max(fun, a, b, _GOLDEN_ITERS, centre=best_x)
-    better = v > best_v
-    return np.where(better, x, best_x), np.where(better, v, best_v)
+    coarse = np.concatenate([x0[:, None], np.linspace(lo, hi, _COARSE_POINTS, axis=1)], axis=1)
+    x, v, _, _ = _scan(fun, np.arange(x0.size), coarse, x0, np.full(x0.size, -np.inf))
+    return section_max(fun, lo, hi, x, v, (hi - lo) / (_COARSE_POINTS - 1))
 
 
 def _pair_directions(n: int) -> np.ndarray:
@@ -358,7 +322,9 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float])
                 before = val[sweeping]
                 _walk(objective, f, val, sweeping, n, coordinate, set_coordinate)
                 after = val[sweeping]
-                sweeping = sweeping[~(after - before <= _SWEEP_TOL * (1.0 + np.abs(after)))]
+                # a row still at -inf (an infeasible start) did not move, and
+                # a sweep from the same point would not move it either
+                sweeping = sweeping[after - before > _SWEEP_TOL * (1.0 + np.abs(after))]
             active = active[_walk(objective, f, val, active, len(dirs), direction, along)[active]]
             if active.size == 0:
                 break
@@ -375,8 +341,8 @@ class ConjugateValue:
     start_values: tuple[float, ...]
 
 
-# search rows of one lockstep ascent: bounds the scan and recentring
-# matrices, whose size grows with the dual grid
+# search rows of one lockstep ascent: bounds the coarse scan matrices,
+# whose size grows with the dual grid
 _BATCH_ROWS = 1024
 # lines of one walk call, in the sweeps and the polish alike: bounds the
 # speculative (row, line) batch, whose scan blocks the row evaluators copy
@@ -568,8 +534,7 @@ def dual_representation_check(
     where rho is declared infinite but the hull is finite) is a witness
     that rho is not represented by the dual grid at this resolution.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    check_tol(tol)
     conjugates = ConjugateField.compute(rho, dual_points, config)
     probes = list(probes)
     rho_vals = tuple(rho.evaluate(f) for f in probes)
@@ -581,6 +546,16 @@ def dual_representation_check(
 
 
 # -- dual grids ---------------------------------------------------------------
+
+
+def lattice_units(weight: float, step: float) -> int:
+    """Steps of ``step`` in the unit mass on cells of ``weight``; ValueError unless it divides."""
+    if not step > 0:
+        raise ValueError("step must be > 0")
+    units = round(1.0 / (step * weight))
+    if abs(units * step * weight - 1.0) > 1e-9:
+        raise ValueError("step must divide the total mass")
+    return units
 
 
 def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable]:
@@ -597,11 +572,7 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
     w = space.weights[0]
     if any(wi != w for wi in space.weights):
         raise ValueError("density lattices need equal weights")
-    if not step > 0:
-        raise ValueError("step must be > 0")
-    units = round(1.0 / (step * w))
-    if abs(units * step * w - 1.0) > 1e-9:
-        raise ValueError("step must divide the total mass")
+    units = lattice_units(w, step)
     if math.comb(units + n - 1, n - 1) > 2_000_000:
         raise ValueError("density lattice too large")
     out: list[RandomVariable] = []

@@ -25,6 +25,7 @@ from .convex import ConvexFunctional, UnknownName
 from .measure import (
     ProbabilitySpace,
     RandomVariable,
+    check_tol,
     common_refinement,
     integrate,
     refine,
@@ -51,6 +52,8 @@ __all__ = [
 _AE_TOL = 1e-9
 # L1 norm above which an element breaks the norm-boundedness hypothesis of the lsc check
 _NORM_BOUND = 1e6
+# the shortest horizon check_bounded_uo_lsc takes
+MIN_N_MAX = 16
 
 
 class NotConvergent(ValueError):
@@ -194,10 +197,9 @@ def check_bounded_uo_lsc(
     1e6, otherwise the boundedness hypothesis fails (NotNormBounded) and
     the comparison would be meaningless.
     """
-    if n_max < 16:
-        raise ValueError("n_max must be >= 16")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"n_max must be >= {MIN_N_MAX}")
+    check_tol(tol)
     if s.declared_limit is None:
         raise NotConvergent(f"sequence {s.name!r} has no declared limit")
     values = []

@@ -600,9 +600,10 @@ def uo_dual_expected(m: SpaceModel) -> SpaceModel:
 # -- falsification search over norm-bounded disjoint families ----------------
 
 _DUAL_DELTA = 1e-6
-# the largest budget: a dyadic-block matrix takes about 84 * budget**2 bytes
-# (84 MB at the cap), and up to 64 family matrices stay cached
-_MAX_BUDGET = 1000
+# the budgets uo_dual_test takes; at the largest a dyadic-block matrix takes
+# about 84 * budget**2 bytes (84 MB at the cap), and up to 64 family
+# matrices stay cached
+MIN_BUDGET, MAX_BUDGET = 100, 1000
 
 
 def _unit_vector_family(m: SpaceModel, budget: int, seed: int):
@@ -696,8 +697,8 @@ def uo_dual_test(phi: TailVector, m: SpaceModel, budget: int, seed: int) -> UoDu
     and the witness is exact and replayable from the seed.  ``budget``, the
     number of elements per family, lies in [100, 1000].
     """
-    if not 100 <= budget <= _MAX_BUDGET:
-        raise ValueError(f"budget must lie in [100, {_MAX_BUDGET}], got {budget}")
+    if not MIN_BUDGET <= budget <= MAX_BUDGET:
+        raise ValueError(f"budget must lie in [{MIN_BUDGET}, {MAX_BUDGET}], got {budget}")
     if m in (SpaceModel.C0, SpaceModel.ELL_INFTY) and not phi.tail.vanishes:
         raise FunctionalNotBounded(
             f"functional with non-vanishing tail is unbounded on the {m.value} unit ball"

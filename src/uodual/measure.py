@@ -48,6 +48,12 @@ class NotDyadic(ValueError):
     """Operation requires a dyadic discretisation of [0, 1]."""
 
 
+def check_tol(tol: float, positive: bool = False) -> None:
+    """Raise ValueError unless ``tol >= 0``, or ``tol > 0`` when ``positive``; NaN fails both."""
+    if not (tol > 0 if positive else tol >= 0):
+        raise ValueError(f"tol must be {'>' if positive else '>='} 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class ProbabilitySpace:
     """Finite weighted sample space.

@@ -5,8 +5,8 @@ identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
 is computed on a truncated s-range.  Its grid maximum comes from the
 lower convex hull of the samples of phi and one ``searchsorted`` of t
 into the hull slopes (linear in the grid size), and is then refined by
-golden-section search (the objective is concave in s, so the refinement
-is exact up to bracket width).  The Luxemburg norm
+the section search of ``convex`` (the objective is concave in s, so each
+row stops once concavity certifies its value).  The Luxemburg norm
 ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
 doubling/halving and then bisected; the upper bracket endpoint is
 returned, a conservative over-estimate of the infimum.
@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import golden_section_max
-from .measure import RandomVariable
+from .convex import section_max
+from .measure import RandomVariable, check_tol
 
 __all__ = [
     "DomainExceeded",
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _CONVEXITY_TOL = 1e-9
+# the coarsest grid conjugate takes
+MIN_GRID_SIZE = 64
 
 
 class GridTooCoarse(RuntimeError):
@@ -218,17 +220,14 @@ def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, gri
         row = t_grid[i] * s_grid[a : b + 1] - phi_s[a : b + 1]
         arg[i] = a + np.argmax(row)
         grid_best[i] = row[arg[i] - a]
-    lo = s_grid[np.maximum(arg - 1, 0)]
-    hi = s_grid[np.minimum(arg + 1, grid_size)]
 
     def objective(rows, s_vals: np.ndarray) -> np.ndarray:
         return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
 
-    # the refinement never falls below the sweep itself (golden section
-    # assumes concavity, which holds for valid phi but is not enforced here)
-    _, refined = golden_section_max(objective, lo, hi, 80)
-    values = np.maximum(refined, grid_best)
-    values = np.maximum(values, 0.0)
+    # the search starts from the grid maximum and never falls below it
+    lo, hi = np.zeros(t_grid.size), np.full(t_grid.size, s_max)
+    _, refined = section_max(objective, lo, hi, s_grid[arg], grid_best, hi / grid_size)
+    values = np.maximum(refined, 0.0)
     values[0] = 0.0  # sup_s(-phi(s)) is attained at s = 0
     return values
 
@@ -245,17 +244,17 @@ def conjugate(
     sampled function is therefore trusted only for t up to roughly the
     slope of phi at ``s_max`` (recorded as its domain cap).  Each value is
     the grid maximum, read off the lower convex hull of the samples of phi
-    by one ``searchsorted`` of t into the hull slopes, then refined by
-    golden-section search.  Everything is recomputed on a doubled grid; if
-    that moves any value by more than ``tol`` the grid is too coarse and
-    GridTooCoarse is raised.
+    by one ``searchsorted`` of t into the hull slopes, then refined by a
+    section search that stops once concavity certifies the value.
+    Everything is recomputed on a doubled grid; if that moves any value
+    by more than ``tol`` the grid is too coarse and GridTooCoarse is
+    raised.
     """
     if not s_max > 0:
         raise ValueError("s_max must be > 0")
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}")
+    check_tol(tol)
     h = s_max / grid_size
     slope = (phi(s_max) - phi(s_max - h)) / h
     if not math.isfinite(slope):
@@ -290,8 +289,7 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
     bracketed by doubling/halving from sup|f| and then bisected to width
     ``tol``.  The returned value is the upper bracket endpoint.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    check_tol(tol, positive=True)
     abs_values = np.abs(f.array)
     weights = f.space.weight_array
     if not np.any(abs_values > 0.0):

@@ -25,7 +25,9 @@ BAD_FILE_VALUES = {
     float: [True, False, "1.5", None, [1.5], 10**400],
     str: [1, 1.5, True, None, ["x"]],
 }
-GOOD_FILE_VALUE = {int: (20, 20), float: (3, 3.0), str: ("x", "x")}
+# in every field's range: grid_size >= 64, budget in [100, 1000], and a
+# dual_grid_step that divides the mass of the default level-2 space
+GOOD_FILE_VALUE = {int: (200, 200), float: (2, 2.0), str: ("x", "x")}
 BAD_FLAG_TEXT = {int: ["20.7", "true", "1e3"], float: ["true", "one", "inf"], str: []}
 
 
@@ -229,6 +231,28 @@ class TestCliProcess:
         proc = run_cli(argv)
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("argv, field", [
+        (["conjugate", "--grid-size", "10"], "grid_size"),
+        (["conjugate", "--tol", "-1"], "tol"),
+        (["dualrep", "--tol", "-1"], "tol"),
+        (["norm", "--tol", "-1"], "tol"),
+        (["norm", "--tol", "0"], "tol"),
+        (["fatou", "--tol", "-1"], "tol"),
+        (["fatou", "--n-max", "5"], "n_max"),
+        (["uodual-test", "--budget", "5"], "budget"),
+        (["uodual-test", "--budget", "5000"], "budget"),
+        (["dualrep", "--space-level", "-1"], "space_level"),
+        (["dualrep", "--dual-grid-step", "0.3"], "dual_grid_step"),
+    ])
+    def test_out_of_range_value_is_config_error(self, argv, field, capsys):
+        # the library refused these at run time, as "uodual: error: ValueError: ..."
+        with pytest.raises(ConfigInvalid, match=f"config field '{field}'"):
+            parse_config(argv)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"uodual: config error: config field '{field}':")
+        assert captured.out == ""
 
     def test_empty_search_box_is_config_error(self, capsys):
         # --box 0 used to search the single point 0 and report representable-evidence

@@ -460,6 +460,86 @@ class TestLockstepEngine:
                 assert field.values[i] == pytest.approx(rho.known_conjugate(g), abs=1e-4), (name, i)
 
 
+@st.composite
+def concave_slices(draw):
+    """One concave slice on a box inside [-64, 64]: ``(fun, lo, hi, x0, critical, edge)``.
+
+    ``critical`` holds the abscissae where the maximum can sit off a dense
+    grid (the vertex, the kinks, the ends of the finite interval), and
+    ``edge`` names the box end that is the unique maximiser, if one is.
+    """
+    lo = draw(st.floats(-64.0, 60.0))
+    hi = draw(st.floats(lo + 1.0, 64.0))
+    # lo + (hi - lo) * u can round past hi, so drawn points are capped at hi
+    x0 = min(hi, lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+    d = draw(st.floats(-10.0, 10.0))
+    family = draw(st.sampled_from(["quadratic", "plateau", "indicator", "edge"]))
+    edge = None
+    if family in ("quadratic", "edge"):
+        a = draw(st.floats(1e-2, 1e2))
+        if family == "quadratic":
+            c = draw(st.floats(lo - 20.0, hi + 20.0))
+        else:
+            edge = draw(st.sampled_from(["lo", "hi"]))
+            beyond = draw(st.sampled_from([0.0, 1e-9, 1.0, 50.0]))
+            c = lo - beyond if edge == "lo" else hi + beyond
+
+        def fun(x):
+            return d - a * (x - c) ** 2
+
+        critical = [c]
+    elif family == "plateau":
+        # min of three affine pieces, the middle one flat: a plateau on [p1, p2]
+        p1 = draw(st.floats(lo - 10.0, hi + 10.0))
+        p2 = p1 + draw(st.sampled_from([0.0, 1e-6, 0.1, 5.0]))
+        m1, m2 = draw(st.floats(0.01, 4.0)), draw(st.floats(0.01, 4.0))
+
+        def fun(x):
+            return d + np.minimum(np.minimum(m1 * (x - p1), 0.0), -m2 * (x - p2))
+
+        critical = [p1, p2]
+    else:
+        # linear on a sub-interval narrower than one coarse step, -inf elsewhere
+        step = (hi - lo) / (convex._COARSE_POINTS - 1)
+        left = min(hi, lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+        right = min(hi, left + step * draw(st.floats(1e-3, 0.99)))
+        m = draw(st.floats(-4.0, 4.0))
+        x0 = min(right, left + (right - left) * draw(st.floats(0.0, 1.0)))
+
+        def fun(x):
+            return np.where((x >= left) & (x <= right), d + m * x, -np.inf)
+
+        critical = [left, right]
+    return fun, lo, hi, x0, critical, edge
+
+
+class TestSectionSearch:
+    """``convex._maximize_1d`` (coarse scan, then section search) against a dense-grid reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(concave_slices(), min_size=1, max_size=4))
+    def test_maximum_of_concave_slices(self, slices):
+        funs = [s[0] for s in slices]
+        lo, hi, x0 = (np.array([s[i] for s in slices]) for i in (1, 2, 3))
+
+        def rows(idx, xs):
+            return np.array([funs[i](x) for i, x in zip(idx, xs)])
+
+        x, v = convex._maximize_1d(rows, lo, hi, x0)
+        for k, (fun, a, b, start, critical, edge) in enumerate(slices):
+            grid = np.concatenate([np.linspace(a, b, 4001), np.clip(critical, a, b)])
+            reference = float(np.max(fun(grid)))
+            assert abs(v[k] - reference) <= 1e-12 * (1.0 + abs(v[k])), (k, v[k], reference)
+            assert v[k] >= fun(start)
+            assert fun(np.array([x[k]]))[0] == v[k]
+            if edge is not None:
+                # the possibly-infinite test needs a maximiser on the box end to
+                # land there, or on a float tie with it inside the boundary margin
+                end = a if edge == "lo" else b
+                tie = v[k] == fun(end) and abs(x[k] - end) <= convex._BOUNDARY_MARGIN * (b - a)
+                assert x[k] == end or tie, (x[k], end)
+
+
 class TestBatchedPolish:
     """The batched polish of ``convex._ascend`` against the one-direction-at-a-time reference."""
 
@@ -546,6 +626,32 @@ class TestBatchedPolish:
         sweeps, _ = self.program_calls(monkeypatch)
         reference, _, _ = self.reference_calls(monkeypatch)
         assert sweeps <= reference / 2
+
+    @staticmethod
+    def gibbs4():
+        """Entropic rho on 4 cells with the Gibbs densities of three probes: interior dual points."""
+        rho = builtin("entropic", beta=1.0)
+        rng = np.random.default_rng(3)
+        gibbs = [rho.dual_witness(rv(rng.uniform(-1.5, 1.5, 4))) for _ in range(3)]
+        return rho, [RandomVariable.ones(SP4), *gibbs]
+
+    @pytest.mark.parametrize("grid", ["avar8", "gibbs4"])
+    def test_objective_calls_per_line(self, monkeypatch, grid):
+        # golden section took about 62 calls per line, evaluating one point per row in each
+        calls = {"objective": 0, "lines": 0}
+
+        def counted(key, inner):
+            def call(*args):
+                calls[key] += 1
+                return inner(*args)
+
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(convex, "_objective", counted("objective", convex._objective))
+            m.setattr(convex, "_maximize_1d", counted("lines", convex._maximize_1d))
+            ConjugateField.compute(*getattr(self, grid)())
+        assert calls["objective"] <= 20 * calls["lines"]
 
 
 class TestBuiltins:

@@ -7,7 +7,14 @@ MODULES = ["uodual"] + [f"uodual.{m}" for m in ("cli", "convex", "fatou", "latti
 # public names and attributes that were deleted; none may come back
 DELETED = {
     "uodual": ("superlinear_growth", "young_gap"),
-    "uodual.convex": ("ConjugateField.dual_point", "_pointwise"),
+    "uodual.convex": (
+        "ConjugateField.dual_point",
+        "_pointwise",
+        "golden_section_max",
+        "_GOLDEN",
+        "_GOLDEN_ITERS",
+        "_RECENTRE_LEVELS",
+    ),
     "uodual.fatou": ("TestSequence.ae_convergent", "LscReport.to_dict"),
     "uodual.lattice": (
         "meet",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uodual import orlicz
-from uodual.convex import golden_section_max
+from uodual.convex import section_max
 from uodual.measure import ProbabilitySpace, RandomVariable, integrate, pairing
 from uodual.orlicz import (
     DomainExceeded,
@@ -39,15 +39,13 @@ def _dense_conjugate_values(phi, t_grid, s_max, grid_size):
         rows = t_grid[i : i + chunk, None] * s_grid[None, :] - phi_s[None, :]
         arg[i : i + chunk] = np.argmax(rows, axis=1)
         grid_best[i : i + chunk] = np.max(rows, axis=1)
-    lo = s_grid[np.maximum(arg - 1, 0)]
-    hi = s_grid[np.minimum(arg + 1, grid_size)]
 
     def objective(rows, s_vals):
         return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
 
-    _, refined = golden_section_max(objective, lo, hi, 80)
-    values = np.maximum(refined, grid_best)
-    values = np.maximum(values, 0.0)
+    lo, hi = np.zeros(t_grid.size), np.full(t_grid.size, s_max)
+    _, refined = section_max(objective, lo, hi, s_grid[arg], grid_best, hi / grid_size)
+    values = np.maximum(refined, 0.0)
     values[0] = 0.0
     return values
 
