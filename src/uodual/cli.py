@@ -144,6 +144,7 @@ _CONVERT = {int: _as_int, float: _as_float, str: _as_str}
 # the range the library accepts for each field it bounds, read from the library
 _BOUNDS = {
     "grid_size": (MIN_GRID_SIZE, math.inf),
+    "probes": (0, math.inf),
     "space_level": (0, math.inf),
     "n_max": (MIN_N_MAX, math.inf),
     "budget": (MIN_BUDGET, MAX_BUDGET),
@@ -210,6 +211,8 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
             value = params[key]
             if key in _BOUNDS and not _BOUNDS[key][0] <= value <= _BOUNDS[key][1]:
                 raise ValueError("must lie in [{}, {}], got {!r}".format(*_BOUNDS[key], value))
+            if key == "s_max" and not value > 0:  # conjugate truncates the sup at s_max > 0
+                raise ValueError(f"must be > 0, got {value!r}")
             if key == "tol":
                 check_tol(value, positive=ns.command == "norm")  # luxemburg_norm needs tol > 0
             if key == "dual_grid_step":
@@ -330,7 +333,10 @@ def _run_dualrep(params: dict, seed: int):
     for _ in range(max(0, params["probes"] - len(probes))):
         probes.append(RandomVariable.from_values(space, rng.uniform(-1.5, 1.5, space.size)))
     if rho.cash_invariant:
-        grid = density_lattice(space, params["dual_grid_step"])
+        try:
+            grid = density_lattice(space, params["dual_grid_step"])
+        except ValueError as exc:  # the only one left after parse_config: too many points
+            raise ConfigInvalid(f"config field 'space_level': {exc}") from exc
     else:
         grid = [RandomVariable.zero(space)]
     if rho.dual_witness is not None:

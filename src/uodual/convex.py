@@ -2,23 +2,27 @@
 dual-representation checking.
 
 The conjugate ``rho*(g) = sup_f ( <f,g> - rho(f) )`` is estimated by
-multi-start coordinate ascent inside a box.  Each line is maximised by a
-coarse scan plus a multi-point section search that stops when concavity
-certifies the value (the objective is concave on lines for convex rho).
-Sweeps over the coordinate lines repeat until stationary, then a polish
-along pair and diagonal directions escapes the ridge points that
-coordinate moves cannot leave on piecewise-linear objectives.  Sweeps and
-polish share one batched walk: a row's next lines from its current point
-are searched together, at most ``_POLISH_LINES`` per call, and the first
-that gains moves it, exactly as one line at a time would.  An ascent that
-ends on the box boundary is flagged "possibly infinite" rather than
-reported as a finite supremum.
+multi-start coordinate ascent inside a box.  Every line the ascent
+searches has one shape, the points ``clip(f + t d)`` of the box through
+the current point f, with t on the interval that keeps ``f + t d`` inside
+it and t = 0 (the current point) always a candidate.  Each line is
+maximised by a coarse scan plus a multi-point section search that stops
+when concavity certifies the value (the objective is concave on lines for
+convex rho).  Sweeps along the coordinate directions repeat while a row
+moves, then a polish along pair and diagonal directions escapes the ridge
+points that coordinate moves cannot leave on piecewise-linear objectives.
+Sweeps and polish share one batched walk over the rows of a direction
+matrix: a row's next lines from its current point are searched together,
+at most ``_POLISH_LINES`` per call, and the first that gains moves it,
+exactly as one line at a time would.  An ascent that ends on the box
+boundary is flagged "possibly infinite" rather than reported as a finite
+supremum.
 
 The search runs in lockstep: every (dual point, start) pair of one
 ``ConjugateField.compute`` call is a row of one matrix, and each scan is
 a single numpy call over the rows still moving.  Rows never interact, so
 each follows the path a search of its own point from its own start would
-take; ``fenchel_conjugate`` is the one-point case.  Functionals score a
+take; ``fenchel_conjugate`` is the one-point grid.  Functionals score a
 ``(rows, n)`` matrix of candidates through ``ConvexFunctional.rows``:
 the builtins do it in one call (a logsumexp, max or mean along an axis,
 AVaR by a row sort), and a functional given only a scalar ``evaluate``
@@ -132,12 +136,11 @@ class SearchConfig:
             raise ValueError(f"extra_starts must be an int >= 0, got {k!r}")
 
 
-# coordinate sweeps per polish round, and the relative gain that counts as movement
+# coordinate sweeps per polish round
 _MAX_SWEEPS = 40
-_SWEEP_TOL = 1e-12
 # relative spread allowed between the restarts of one point
 _VALUE_TOL = 1e-5
-# scan points per coordinate line, and per row and call of the section search
+# scan points per line, and per row and call of the section search
 _COARSE_POINTS = 21
 _SECTION_POINTS = 16
 # rows of one section-search call: bounds its (rows, points) scan, which the
@@ -197,16 +200,17 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
     return x, v
 
 
-def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray):
-    """Coarse scan, then section search, of concave 1-D slices, per row.
+def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray):
+    """Coarse scan, then section search, of concave 1-D slices on ``[lo, hi]``, per row.
 
     The coarse scan guards against slices that are -inf on most of the
     box (indicator functionals), where a narrow bracket alone could miss
-    the finite region.  The current point x0 is always a candidate, so
-    the surrounding ascent never regresses.
+    the finite region.  The abscissa 0, the current point of every line,
+    is always a candidate, so the surrounding ascent never regresses.
     """
-    coarse = np.concatenate([x0[:, None], np.linspace(lo, hi, _COARSE_POINTS, axis=1)], axis=1)
-    x, v, _, _ = _scan(fun, np.arange(x0.size), coarse, x0, np.full(x0.size, -np.inf))
+    start = np.zeros(lo.size)
+    coarse = np.concatenate([start[:, None], np.linspace(lo, hi, _COARSE_POINTS, axis=1)], axis=1)
+    x, v, _, _ = _scan(fun, np.arange(lo.size), coarse, start, np.full(lo.size, -np.inf))
     return section_max(fun, lo, hi, x, v, (hi - lo) / (_COARSE_POINTS - 1))
 
 
@@ -226,40 +230,54 @@ def _objective(score, wg: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return np.einsum("kmn,kn->km", probes, wg) - score(probes.reshape(k * m, n)).reshape(k, m)
 
 
-def _walk(objective, f, val, sub, count, bounds, points) -> np.ndarray:
-    """Move each row of ``sub`` along lines ``0 .. count - 1`` of one family, in order.
+def _span(base: np.ndarray, d: np.ndarray, lo: float, hi: float):
+    """Per row, the least and greatest t with ``base + t d`` in the box ``[lo, hi]``.
 
-    ``bounds(base, k)`` gives the abscissa interval and start of line
-    ``k[j]`` through ``base[j]``, ``points(base, k, ts)`` the points of
-    those lines at the abscissae ``ts``, and ``objective(r, probes)`` the
-    values of rows ``r`` there.  While a row has not moved, its next lines
-    all start from the same point, so they are searched as one batch: at
-    most ``_POLISH_LINES`` lines per call, and at least one per row.  Each
-    row takes the first gaining line of its batch and searches the lines
-    after it again from its new point, so the moves are exactly those of
-    one line at a time.  Updates ``f`` and ``val`` in place and returns
-    the mask, over all rows, of those that moved.
+    A zero coordinate of d never leaves the box, so it bounds nothing.
     """
+    up, down = np.full(d.shape, np.inf), np.full(d.shape, -np.inf)
+    np.divide(np.where(d > 0, hi - base, lo - base), d, out=up, where=d != 0)
+    np.divide(np.where(d > 0, lo - base, hi - base), d, out=down, where=d != 0)
+    return np.max(down, axis=1), np.min(up, axis=1)
+
+
+def _walk(objective, f, val, sub, dirs: np.ndarray, box: tuple[float, float]) -> np.ndarray:
+    """Move each row of ``sub`` along the lines ``clip(f + t d)`` of the rows d of ``dirs``, in order.
+
+    A line through a row's point f runs over the t that keep ``f + t d``
+    inside ``box``, and ``objective(r, probes)`` gives the values of rows
+    ``r`` at its points.  While a row has not moved, its next lines all
+    start from the same point, so they are searched as one batch: at most
+    ``_POLISH_LINES`` lines per call, and at least one per row.  Each row
+    takes the first line whose gain clears rounding noise and searches the
+    lines after it again from its new point, so the moves are exactly
+    those of one line at a time.  Updates ``f`` and ``val`` in place and
+    returns the mask, over all rows, of those that moved.
+    """
+    lo, hi = box
     moved_any = np.zeros(f.shape[0], dtype=bool)
     pending, next_line = sub, np.zeros(sub.size, dtype=int)
     while pending.size:
         width = max(1, _POLISH_LINES // pending.size)
         tried = next_line[:, None] + np.arange(width)  # (pending row, line)
-        lines = np.nonzero(tried < count)
-        base, k = f[pending[lines[0]]], tried[lines]
-        t_lo, t_hi, x0 = bounds(base, k)
+        lines = np.nonzero(tried < len(dirs))
+        base, d = f[pending[lines[0]]], dirs[tried[lines]]
+        t_lo, t_hi = _span(base, d, lo, hi)
         open_ = t_hi > t_lo
         gain = np.zeros(tried.shape, dtype=bool)
         ends, values = np.empty(tried.shape + f.shape[1:]), np.empty(tried.shape)
         if open_.any():
             at = (lines[0][open_], lines[1][open_])
-            owner, base, k = pending[at[0]], base[open_], k[open_]
+            owner, base, d = pending[at[0]], base[open_], d[open_]
 
             def line(idx, ts):
-                return objective(owner[idx], points(base[idx], k[idx], ts))
+                # built in place: one (lines, points, n) block, as large as the scores' input
+                probes = ts[:, :, None] * d[idx, None, :]
+                probes += base[idx, None, :]
+                return objective(owner[idx], np.clip(probes, lo, hi, out=probes))
 
-            x, v = _maximize_1d(line, t_lo[open_], t_hi[open_], x0[open_])
-            ends[at], values[at] = points(base, k, x[:, None])[:, 0], v
+            x, v = _maximize_1d(line, t_lo[open_], t_hi[open_])
+            ends[at], values[at] = np.clip(base + x[:, None] * d, lo, hi), v
             # improvements must clear rounding noise, or flat objectives would
             # drift to the box and be misread as unbounded
             gain[at] = v > val[owner] + 1e-12 * (1.0 + np.abs(val[owner]))
@@ -271,7 +289,7 @@ def _walk(objective, f, val, sub, count, bounds, points) -> np.ndarray:
         f[r], val[r] = ends[moved, hit[moved]], values[moved, hit[moved]]
         moved_any[r] = True
         next_line = np.where(moved, next_line + hit + 1, next_line + width)
-        keep = next_line < count
+        keep = next_line < len(dirs)
         pending, next_line = pending[keep], next_line[keep]
     return moved_any
 
@@ -279,38 +297,18 @@ def _walk(objective, f, val, sub, count, bounds, points) -> np.ndarray:
 def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float]):
     """Coordinate ascent of ``_objective`` from every row of ``starts`` at once.
 
-    Sweeps walk the n coordinate lines (coordinate i set to the abscissa,
-    on the box) until a row's sweep goes stationary; the polish then walks
-    the pair and diagonal directions d (the points ``clip(f + t d)``), and
-    a polish move starts another round.  Rows run in lockstep but never
-    interact.  Returns the final points and their values, one row per start.
+    Sweeps walk the n coordinate directions while a row moves; the polish
+    then walks the pair and diagonal directions, and a polish move starts
+    another round.  Rows run in lockstep but never interact.  Returns the
+    final points and their values, one row per start.
     """
-    lo, hi = box
-    f = np.clip(starts, lo, hi)
+    f = np.clip(starts, *box)
     rows, n = f.shape
     val = _objective(score, wg, f[:, None, :])[:, 0]
-    dirs = _pair_directions(n)
-    safe = np.where(dirs != 0.0, dirs, 1.0)
+    axes, pairs = np.eye(n), _pair_directions(n)
 
     def objective(r, probes):
         return _objective(score, wg[r], probes)
-
-    def coordinate(base, k):
-        return np.full(k.size, lo), np.full(k.size, hi), base[np.arange(k.size), k]
-
-    def set_coordinate(base, k, xs):
-        out = np.repeat(base[:, None, :], xs.shape[1], axis=1)
-        out[np.arange(k.size), :, k] = xs
-        return out
-
-    def direction(base, k):
-        d, s = dirs[k], safe[k]
-        up = np.where(d > 0, (hi - base) / s, np.where(d < 0, (lo - base) / s, np.inf))
-        down = np.where(d > 0, (lo - base) / s, np.where(d < 0, (hi - base) / s, -np.inf))
-        return np.max(down, axis=1), np.min(up, axis=1), np.zeros(k.size)
-
-    def along(base, k, ts):
-        return np.clip(base[:, None, :] + ts[:, :, None] * dirs[k][:, None, :], lo, hi)
 
     active = np.arange(rows)
     with np.errstate(invalid="ignore"):
@@ -319,13 +317,8 @@ def _ascend(score, wg: np.ndarray, starts: np.ndarray, box: tuple[float, float])
             for _ in range(_MAX_SWEEPS):
                 if sweeping.size == 0:
                     break
-                before = val[sweeping]
-                _walk(objective, f, val, sweeping, n, coordinate, set_coordinate)
-                after = val[sweeping]
-                # a row still at -inf (an infeasible start) did not move, and
-                # a sweep from the same point would not move it either
-                sweeping = sweeping[after - before > _SWEEP_TOL * (1.0 + np.abs(after))]
-            active = active[_walk(objective, f, val, active, len(dirs), direction, along)[active]]
+                sweeping = sweeping[_walk(objective, f, val, sweeping, axes, box)[sweeping]]
+            active = active[_walk(objective, f, val, active, pairs, box)[active]]
             if active.size == 0:
                 break
     return f, val
@@ -349,14 +342,6 @@ _BATCH_ROWS = 1024
 # several times; the temporaries grow with the cap, while the saving
 # levels off above a few dozen lines
 _POLISH_LINES = 48
-
-
-def _conjugates(
-    rho: ConvexFunctional, space: ProbabilitySpace, duals: np.ndarray, cfg: SearchConfig
-) -> list[ConjugateValue]:
-    """Conjugates at every row of ``duals``, in grid order, by lockstep batches of points."""
-    step = max(1, _BATCH_ROWS // (3 + cfg.extra_starts))
-    return [cv for i in range(0, len(duals), step) for cv in _lockstep(rho, space, duals[i : i + step], cfg)]
 
 
 def _lockstep(
@@ -420,21 +405,6 @@ def _lockstep(
     return out
 
 
-def fenchel_conjugate(
-    rho: ConvexFunctional,
-    g: RandomVariable,
-    config: SearchConfig | None = None,
-) -> ConjugateValue:
-    """Estimate ``sup_f ( <f,g> - rho(f) )`` over the search box.
-
-    A one-point call into the lockstep engine behind
-    ``ConjugateField.compute``: the same starts, the "possibly infinite"
-    flag when the maximiser is still climbing at the box boundary, and
-    SearchDiverged when restarts disagree without such an escape.
-    """
-    return _conjugates(rho, g.space, g.array[None, :], config or SearchConfig())[0]
-
-
 @dataclass(frozen=True, eq=False)
 class ConjugateField:
     """Conjugate values over a grid of dual points.
@@ -457,6 +427,7 @@ class ConjugateField:
         dual_points,
         config: SearchConfig | None = None,
     ) -> ConjugateField:
+        """Conjugates at every dual point, by lockstep batches of at most ``_BATCH_ROWS`` search rows."""
         points = list(dual_points)
         if not points:
             raise EmptyDualGrid("no dual points supplied")
@@ -464,13 +435,31 @@ class ConjugateField:
         if any(p.space != space for p in points):
             raise ValueError("dual points must share one space")
         matrix = np.array([p.array for p in points])
-        reports = _conjugates(rho, space, matrix, config or SearchConfig())
+        cfg = config or SearchConfig()
+        step = max(1, _BATCH_ROWS // (3 + cfg.extra_starts))  # points per lockstep batch
+        batches = (_lockstep(rho, space, matrix[i : i + step], cfg) for i in range(0, len(points), step))
+        reports = [cv for batch in batches for cv in batch]
         flags = np.array([cv.possibly_infinite for cv in reports], dtype=bool)
         values = np.array([math.inf if cv.possibly_infinite else cv.value for cv in reports])
         return cls(space, matrix, values, flags, tuple(reports))
 
     def __len__(self) -> int:
         return self.dual_matrix.shape[0]
+
+
+def fenchel_conjugate(
+    rho: ConvexFunctional,
+    g: RandomVariable,
+    config: SearchConfig | None = None,
+) -> ConjugateValue:
+    """Estimate ``sup_f ( <f,g> - rho(f) )`` over the search box.
+
+    The one-point grid of ``ConjugateField.compute``: the same starts, the
+    "possibly infinite" flag when the maximiser is still climbing at the
+    box boundary, and SearchDiverged when restarts disagree without such
+    an escape.
+    """
+    return ConjugateField.compute(rho, [g], config).reports[0]
 
 
 def biconjugate(field: ConjugateField, f: RandomVariable) -> float:
@@ -566,15 +555,20 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
     ``units = 1 / (step * weight)`` steps among the n cells, C(units + n - 1,
     n - 1) of them, listed in lexicographic order of the cell counts; a
     lattice of more than 2,000,000 points raises ValueError before any is
-    built.
+    built.  The count is a running product that stops once it passes the
+    limit, so a refusal takes a few steps however large the lattice.
     """
     n = space.size
     w = space.weights[0]
     if any(wi != w for wi in space.weights):
         raise ValueError("density lattices need equal weights")
     units = lattice_units(w, step)
-    if math.comb(units + n - 1, n - 1) > 2_000_000:
-        raise ValueError("density lattice too large")
+    # C(units + n - 1, k) for k = 1 .. min(units, n - 1): exact, and never decreasing
+    top, count = units + n - 1, 1
+    for k in range(1, min(units, n - 1) + 1):
+        count = count * (top - k + 1) // k
+        if count > 2_000_000:
+            raise ValueError("density lattice too large: more than 2,000,000 points")
     out: list[RandomVariable] = []
     # stars and bars: n - 1 bars among units + n - 1 slots; cell counts are the gaps
     for bars in itertools.combinations(range(units + n - 1), n - 1):

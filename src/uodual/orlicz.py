@@ -39,7 +39,7 @@ MIN_GRID_SIZE = 64
 
 
 class GridTooCoarse(RuntimeError):
-    """Grid refinement moved conjugate values by more than the tolerance."""
+    """Grid refinement moved a conjugate value psi by more than ``tol * (1 + |psi|)``."""
 
 
 class DomainExceeded(ValueError):
@@ -90,7 +90,6 @@ class OrliczFunction:
         grid_s,
         grid_y,
         domain_cap: float | None = None,
-        validate: bool = True,
     ) -> OrliczFunction:
         s = tuple(float(v) for v in grid_s)
         y = tuple(float(v) for v in grid_y)
@@ -104,8 +103,7 @@ class OrliczFunction:
             grid_y=y,
             domain_cap=float(domain_cap) if domain_cap is not None else s[-1],
         )
-        if validate:
-            fn._validate_grid()
+        fn._validate_grid()
         return fn
 
     @cached_property
@@ -247,8 +245,8 @@ def conjugate(
     by one ``searchsorted`` of t into the hull slopes, then refined by a
     section search that stops once concavity certifies the value.
     Everything is recomputed on a doubled grid; if that moves any value
-    by more than ``tol`` the grid is too coarse and GridTooCoarse is
-    raised.
+    psi by more than ``tol * (1 + |psi|)`` the grid is too coarse and
+    GridTooCoarse is raised.
     """
     if not s_max > 0:
         raise ValueError("s_max must be > 0")
@@ -266,10 +264,14 @@ def conjugate(
     coarse = _conjugate_values(phi, t_grid, s_max, grid_size)
     fine_t = np.linspace(0.0, t_max, 2 * grid_size + 1)
     fine = _conjugate_values(phi, fine_t, s_max, 2 * grid_size)
-    drift = float(np.max(np.abs(fine[::2] - coarse)))
-    if drift > tol:
+    # relative to the value, so that large but representable values can pass
+    drift = np.abs(fine[::2] - coarse)
+    allowed = tol * (1.0 + np.abs(fine[::2]))
+    if np.any(drift > allowed):
+        i = int(np.argmax(drift > allowed))
         raise GridTooCoarse(
-            f"doubling the grid moved conjugate values by {drift:.3e} > tol={tol:.3e}"
+            f"doubling the grid moved the conjugate value at t={t_grid[i]:.6g} by {drift[i]:.3e}"
+            f" > tol*(1+|psi|)={allowed[i]:.3e}"
         )
     return OrliczFunction.sampled(fine_t, fine, domain_cap=t_max)
 

@@ -244,6 +244,11 @@ class TestCliProcess:
         (["uodual-test", "--budget", "5000"], "budget"),
         (["dualrep", "--space-level", "-1"], "space_level"),
         (["dualrep", "--dual-grid-step", "0.3"], "dual_grid_step"),
+        (["conjugate", "--s-max", "0"], "s_max"),
+        (["conjugate", "--s-max", "-1"], "s_max"),
+        (["conjugate", "--probes", "-1"], "probes"),
+        # this one ran with the two fixed probes and exited 0
+        (["dualrep", "--probes", "-1"], "probes"),
     ])
     def test_out_of_range_value_is_config_error(self, argv, field, capsys):
         # the library refused these at run time, as "uodual: error: ValueError: ..."
@@ -252,6 +257,16 @@ class TestCliProcess:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"uodual: config error: config field '{field}':")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("level", [5, 16])
+    def test_oversized_density_lattice_is_config_error(self, level, capsys):
+        # the level parses, and only a cash-invariant functional builds the
+        # lattice; the refusal was "uodual: error: ValueError: ..."
+        assert main(["dualrep", "--space-level", str(level)]) == 1
+        captured = capsys.readouterr()
+        expected = "uodual: config error: config field 'space_level': density lattice too large"
+        assert captured.err.startswith(expected)
         assert captured.out == ""
 
     def test_empty_search_box_is_config_error(self, capsys):

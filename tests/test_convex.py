@@ -96,37 +96,31 @@ def dense_grid_conjugate(rho, g, bound=6.0, step=0.25):
 
 
 def _sequential_ascend(score, wg, starts, box, counts=None):
-    """Reference for ``convex._ascend``: the polish searches one direction at a time.
+    """Reference for ``convex._ascend``: every line is searched on its own.
 
-    Every round runs one ``_maximize_1d`` per pair or diagonal direction
-    over all rows still active; ``counts``, when given, tallies those
-    polish calls and the rounds.  The sweeps are the program's.
+    A sweep runs one ``_maximize_1d`` per coordinate direction e_i, on
+    ``[lo - f_i, hi - f_i]`` from t = 0, and repeats while it gains more
+    than 1e-12 relative.  Every round then runs one ``_maximize_1d`` per
+    pair or diagonal direction over all rows still active; ``counts``,
+    when given, tallies those polish calls and the rounds.
     """
     lo, hi = box
     f = np.clip(starts, lo, hi)
     rows, n = f.shape
     val = convex._objective(score, wg, f[:, None, :])[:, 0]
 
-    def move(sub, x0, t_lo, t_hi, probe):
+    def move(sub, t_lo, t_hi, probe):
         base, w = f[sub], wg[sub]
 
         def fun(idx, xs):
             return convex._objective(score, w[idx], probe(base[idx], xs))
 
-        x, v = convex._maximize_1d(fun, t_lo, t_hi, x0)
+        x, v = convex._maximize_1d(fun, t_lo, t_hi)
         accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
         moved = sub[accepted]
         f[moved] = probe(base[accepted], x[accepted, None])[:, 0]
         val[moved] = v[accepted]
         return moved
-
-    def coordinate(i):
-        def probe(base, xs):
-            out = np.repeat(base[:, None, :], xs.shape[1], axis=1)
-            out[:, :, i] = xs
-            return out
-
-        return probe
 
     def along(d):
         return lambda base, ts: np.clip(base[:, None, :] + ts[:, :, None] * d, lo, hi)
@@ -139,11 +133,11 @@ def _sequential_ascend(score, wg, starts, box, counts=None):
                 if sweeping.size == 0:
                     break
                 before = val[sweeping]
-                box_lo, box_hi = np.full(sweeping.size, lo), np.full(sweeping.size, hi)
-                for i in range(n):
-                    move(sweeping, f[sweeping, i], box_lo, box_hi, coordinate(i))
+                for i, e in enumerate(np.eye(n)):
+                    cur = f[sweeping, i]
+                    move(sweeping, lo - cur, hi - cur, along(e))
                 after = val[sweeping]
-                sweeping = sweeping[~(after - before <= convex._SWEEP_TOL * (1.0 + np.abs(after)))]
+                sweeping = sweeping[~(after - before <= 1e-12 * (1.0 + np.abs(after)))]
             if counts is not None:
                 counts["rounds"] += 1
             polished = np.zeros(rows, dtype=bool)
@@ -159,7 +153,7 @@ def _sequential_ascend(score, wg, starts, box, counts=None):
                     if counts is not None:
                         counts["polish"] += 1
                     sub = active[open_]
-                    polished[move(sub, np.zeros(sub.size), t_lo[open_], t_hi[open_], along(d))] = True
+                    polished[move(sub, t_lo[open_], t_hi[open_], along(d))] = True
             active = active[polished[active]]
             if active.size == 0:
                 break
@@ -462,16 +456,19 @@ class TestLockstepEngine:
 
 @st.composite
 def concave_slices(draw):
-    """One concave slice on a box inside [-64, 64]: ``(fun, lo, hi, x0, critical, edge)``.
+    """One concave slice of a line: ``(fun, lo, hi, critical, edge)``, with the start at t = 0.
 
-    ``critical`` holds the abscissae where the maximum can sit off a dense
-    grid (the vertex, the kinks, the ends of the finite interval), and
-    ``edge`` names the box end that is the unique maximiser, if one is.
+    The box is drawn inside [-64, 64] and shifted so that the start, drawn
+    in it, sits at 0.  ``critical`` holds the abscissae where the maximum
+    can sit off a dense grid (the vertex, the kinks, the ends of the finite
+    interval), and ``edge`` names the box end that is the unique
+    maximiser, if one is.
     """
     lo = draw(st.floats(-64.0, 60.0))
     hi = draw(st.floats(lo + 1.0, 64.0))
     # lo + (hi - lo) * u can round past hi, so drawn points are capped at hi
     x0 = min(hi, lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+    lo, hi = lo - x0, hi - x0
     d = draw(st.floats(-10.0, 10.0))
     family = draw(st.sampled_from(["quadratic", "plateau", "indicator", "edge"]))
     edge = None
@@ -499,18 +496,17 @@ def concave_slices(draw):
 
         critical = [p1, p2]
     else:
-        # linear on a sub-interval narrower than one coarse step, -inf elsewhere
-        step = (hi - lo) / (convex._COARSE_POINTS - 1)
-        left = min(hi, lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
-        right = min(hi, left + step * draw(st.floats(1e-3, 0.99)))
+        # linear on a sub-interval around the start narrower than one coarse step, -inf elsewhere
+        width = (hi - lo) / (convex._COARSE_POINTS - 1) * draw(st.floats(1e-3, 0.99))
+        left = max(lo, -width * draw(st.floats(0.0, 1.0)))
+        right = min(hi, left + width)
         m = draw(st.floats(-4.0, 4.0))
-        x0 = min(right, left + (right - left) * draw(st.floats(0.0, 1.0)))
 
         def fun(x):
             return np.where((x >= left) & (x <= right), d + m * x, -np.inf)
 
         critical = [left, right]
-    return fun, lo, hi, x0, critical, edge
+    return fun, lo, hi, critical, edge
 
 
 class TestSectionSearch:
@@ -520,17 +516,17 @@ class TestSectionSearch:
     @given(st.lists(concave_slices(), min_size=1, max_size=4))
     def test_maximum_of_concave_slices(self, slices):
         funs = [s[0] for s in slices]
-        lo, hi, x0 = (np.array([s[i] for s in slices]) for i in (1, 2, 3))
+        lo, hi = (np.array([s[i] for s in slices]) for i in (1, 2))
 
         def rows(idx, xs):
             return np.array([funs[i](x) for i, x in zip(idx, xs)])
 
-        x, v = convex._maximize_1d(rows, lo, hi, x0)
-        for k, (fun, a, b, start, critical, edge) in enumerate(slices):
+        x, v = convex._maximize_1d(rows, lo, hi)
+        for k, (fun, a, b, critical, edge) in enumerate(slices):
             grid = np.concatenate([np.linspace(a, b, 4001), np.clip(critical, a, b)])
             reference = float(np.max(fun(grid)))
             assert abs(v[k] - reference) <= 1e-12 * (1.0 + abs(v[k])), (k, v[k], reference)
-            assert v[k] >= fun(start)
+            assert v[k] >= fun(0.0)
             assert fun(np.array([x[k]]))[0] == v[k]
             if edge is not None:
                 # the possibly-infinite test needs a maximiser on the box end to
@@ -589,14 +585,14 @@ class TestBatchedPolish:
     def program_calls(self, monkeypatch):
         """The program's ``_maximize_1d`` calls on the 8-cell AVaR grid: (sweeps, polish).
 
-        A call belongs to the walk it runs in; the sweeps walk the n coordinate lines.
+        A call belongs to the walk it runs in; the sweeps walk the n coordinate directions.
         """
         calls, walks = [], []
         walk, inner = convex._walk, convex._maximize_1d
 
-        def tagged(objective, f, val, sub, count, bounds, points):
-            walks.append("sweep" if count == f.shape[1] else "polish")
-            return walk(objective, f, val, sub, count, bounds, points)
+        def tagged(objective, f, val, sub, dirs, box):
+            walks.append("sweep" if len(dirs) == f.shape[1] else "polish")
+            return walk(objective, f, val, sub, dirs, box)
 
         with monkeypatch.context() as m:
             m.setattr(convex, "_walk", tagged)

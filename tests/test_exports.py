@@ -14,6 +14,8 @@ DELETED = {
         "_GOLDEN",
         "_GOLDEN_ITERS",
         "_RECENTRE_LEVELS",
+        "_conjugates",
+        "_SWEEP_TOL",
     ),
     "uodual.fatou": ("TestSequence.ae_convergent", "LscReport.to_dict"),
     "uodual.lattice": (

@@ -18,6 +18,12 @@ from uodual.orlicz import (
 )
 
 
+def unchecked(grid_s, grid_y):
+    """A sampled function from the dataclass constructor, whose knots nothing validates."""
+    s, y = tuple(map(float, grid_s)), tuple(map(float, grid_y))
+    return OrliczFunction("sampled", grid_s=s, grid_y=y, domain_cap=s[-1])
+
+
 def brute_conjugate(phi, t, s_max, n=1_000_000):
     """Independent oracle: plain sup of s*t - phi(s) over a dense s-grid."""
     s = np.linspace(0.0, s_max, n)
@@ -109,7 +115,7 @@ class TestOrliczFunction:
 
         rng = np.random.default_rng(5)
         psi = conjugate(OrliczFunction.power(1.5), 8.0, 256)
-        flat = OrliczFunction.sampled([0, 1, 2], [0, 1, 1], validate=False)  # last slope 0
+        flat = unchecked([0, 1, 2], [0, 1, 1])  # last slope 0
         for phi in (psi, flat, OrliczFunction.sampled([0, 0.5, 1.25], [0, 0.25, 1.0])):
             cap = phi.grid_s[-1]
             probes = np.concatenate([rng.uniform(-1.0, 2.0 * cap, 500), np.array(phi.grid_s), [cap * 1e300]])
@@ -204,7 +210,7 @@ class TestConjugate:
         # and not the point where the sample slopes cross t
         s = np.concatenate([[0.0], np.cumsum([dx for dx, _ in knots])])
         y = [0.0] + [v for _, v in knots]
-        phi = OrliczFunction.sampled(s, y, validate=False)
+        phi = unchecked(s, y)
         t_grid = np.linspace(*t_range, t_count)
         got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size)
         want = _dense_conjugate_values(phi, t_grid, s_max, grid_size)
@@ -218,7 +224,7 @@ class TestConjugate:
         for _ in range(60):
             s = np.unique(np.concatenate([[0.0], rng.integers(1, 20, 4).astype(float)]))
             slopes = np.sort(rng.integers(0, 6, s.size - 1)).astype(float) / rng.choice([1, 3, 4])
-            phi = OrliczFunction.sampled(s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))]), validate=False)
+            phi = unchecked(s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))]))
             t_grid = np.unique(np.concatenate([slopes, slopes + 1e-15, np.linspace(0.0, slopes[-1] + 1, 40)]))
             grid_size = int(rng.integers(64, 600))
             s_max = float(s[-1] + rng.uniform(0.0, 3.0))
@@ -254,13 +260,20 @@ class TestConjugate:
         # a narrow dip (validation bypassed) placed on a fine-grid point
         # that the coarse grid misses: refinement moves the sup
         dip_at = 5.0 * 65 / 128
-        bumpy = OrliczFunction.sampled(
+        bumpy = unchecked(
             [0, 1, dip_at - 1e-3, dip_at, dip_at + 1e-3, 4, 5],
             [0, 0.5, 0.6, 0.05, 0.7, 0.8, 3.0],
-            validate=False,
         )
         with pytest.raises(GridTooCoarse):
             conjugate(bumpy, 5.0, 64, tol=1e-6)
+
+    def test_grid_drift_is_relative_to_the_value(self):
+        # psi reaches about 1e219 here, and doubling the grid moved it by
+        # 2.7e205, which an absolute tol of 1e-6 refused as GridTooCoarse
+        psi = conjugate(OrliczFunction.exponential(0.5), 1000.0, 512)
+        t = 0.5 * psi.domain_cap
+        assert 1e216 < psi(t) < math.inf
+        assert abs(psi(t) - brute_conjugate(OrliczFunction.exponential(0.5), t, 1000.0)) <= 1e-9 * psi(t)
 
     def test_overflowing_phi_raises_domain_exceeded(self):
         # exp(s) - 1 overflows to inf before s = 800, so the slope at s_max is not finite
@@ -384,7 +397,7 @@ class TestLuxemburgNorm:
     def test_degenerate_phi_reported(self):
         # flat-zero sampled function (validation bypassed): the modular
         # never reaches 1, which must be reported rather than guessed
-        flat = OrliczFunction.sampled([0, 1], [0, 0], validate=False)
+        flat = unchecked([0, 1], [0, 0])
         sp = ProbabilitySpace.uniform(2)
         f = RandomVariable.from_values(sp, [0.5, 0.25])
         with pytest.raises(ModularDegenerate):
