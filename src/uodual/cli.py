@@ -25,11 +25,14 @@ import numpy as np
 
 from . import __version__
 from .convex import (
+    MAX_SEARCH_CELLS,
+    MAX_SEARCH_WORK,
     SearchConfig,
     UnknownName,
     builtin,
     density_lattice,
     dual_representation_check,
+    lattice_size,
     lattice_units,
 )
 from .fatou import (
@@ -144,7 +147,7 @@ _CONVERT = {int: _as_int, float: _as_float, str: _as_str}
 # the range the library accepts for each field it bounds, read from the library
 _BOUNDS = {
     "grid_size": (MIN_GRID_SIZE, math.inf),
-    "probes": (0, math.inf),
+    "probes": (1, math.inf),
     "space_level": (0, math.inf),
     "n_max": (MIN_N_MAX, math.inf),
     "budget": (MIN_BUDGET, MAX_BUDGET),
@@ -320,6 +323,25 @@ def _run_norm(params: dict, seed: int):
     return results, ["ok"], 0
 
 
+def _check_search_size(rho, params: dict) -> None:
+    """ConfigInvalid unless the dual grid fits the search bound of ``convex``; counts it, builds none."""
+    cells = 2 ** params["space_level"]
+    limit = MAX_SEARCH_WORK // cells**2 if cells <= MAX_SEARCH_CELLS else 0  # dual points
+    points = params["probes"] if rho.dual_witness is not None else 0  # the probes' witnesses
+    if rho.cash_invariant:
+        units = lattice_units(2.0 ** -params["space_level"], params["dual_grid_step"])
+        points += lattice_size(cells, units, limit)
+    else:
+        points += 1  # the zero point
+    if points > limit:
+        grid = "density lattice" if rho.cash_invariant else "dual grid"
+        raise ConfigInvalid(
+            f"config field 'space_level': {grid} too large: a search on {cells} cells takes at most"
+            f" {limit:,} dual points, probe witnesses included ({MAX_SEARCH_WORK:,} / cells^2, and"
+            f" at most {MAX_SEARCH_CELLS} cells)"
+        )
+
+
 def _run_dualrep(params: dict, seed: int):
     rho = _parse_functional(params["functional"], params)
     box = abs(params["box"])
@@ -327,16 +349,15 @@ def _run_dualrep(params: dict, seed: int):
         cfg = SearchConfig(box=(-box, box), seed=seed)
     except ValueError as exc:
         raise ConfigInvalid(f"config field 'box': {exc}") from exc
+    _check_search_size(rho, params)
     space = ProbabilitySpace.dyadic(params["space_level"])
     rng = np.random.default_rng(seed)
-    probes = [RandomVariable.zero(space), RandomVariable.constant(space, 0.5)]
-    for _ in range(max(0, params["probes"] - len(probes))):
+    # the first `probes` of: zero, the constant 0.5, then random points
+    probes = [RandomVariable.zero(space), RandomVariable.constant(space, 0.5)][: params["probes"]]
+    for _ in range(params["probes"] - len(probes)):
         probes.append(RandomVariable.from_values(space, rng.uniform(-1.5, 1.5, space.size)))
     if rho.cash_invariant:
-        try:
-            grid = density_lattice(space, params["dual_grid_step"])
-        except ValueError as exc:  # the only one left after parse_config: too many points
-            raise ConfigInvalid(f"config field 'space_level': {exc}") from exc
+        grid = density_lattice(space, params["dual_grid_step"])
     else:
         grid = [RandomVariable.zero(space)]
     if rho.dual_witness is not None:
@@ -459,7 +480,7 @@ def _suite_fenchel(seed: int) -> dict:
         RandomVariable.from_values(space, rng.uniform(-1, 1, 4)) for _ in range(2)
     ]
     grid = density_lattice(space, 1.0) + [rho.dual_witness(f) for f in probes]
-    cfg = SearchConfig(seed=seed, extra_starts=0)
+    cfg = SearchConfig(seed=seed)
     rep = dual_representation_check(rho, probes, grid, 1e-3, cfg)
     err = 0.0
     for g, cv in zip(grid, rep.conjugates.reports):

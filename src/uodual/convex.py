@@ -117,23 +117,20 @@ class ConvexFunctional:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the conjugate search; defaults suit spaces of up to ~8 points.
+    """The search box and the seed of the random start; defaults suit spaces of up to ~8 points.
 
-    ``box`` must be a finite interval ``(lo, hi)`` with lo < hi and
-    ``extra_starts`` an int >= 0, or the constructor raises ValueError.
+    ``box`` must be a finite interval ``(lo, hi)`` with lo < hi, or the
+    constructor raises ValueError.  ``seed`` draws the one random start
+    that every dual point shares.
     """
 
     box: tuple[float, float] = (-64.0, 64.0)
-    extra_starts: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         lo, hi = self.box
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"box must be a finite interval (lo, hi) with lo < hi, got {self.box!r}")
-        k = self.extra_starts
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-            raise ValueError(f"extra_starts must be an int >= 0, got {k!r}")
 
 
 # coordinate sweeps per polish round
@@ -143,9 +140,6 @@ _VALUE_TOL = 1e-5
 # scan points per line, and per row and call of the section search
 _COARSE_POINTS = 21
 _SECTION_POINTS = 16
-# rows of one section-search call: bounds its (rows, points) scan, which the
-# 2,049-row Orlicz refinement would otherwise hold at once
-_SECTION_ROWS = 512
 # share of the box width within which a maximiser counts as on the boundary
 _BOUNDARY_MARGIN = 1e-6
 
@@ -169,21 +163,21 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
     ``fun(idx, xs)`` evaluates the rows ``idx`` (an index array) at a
     matrix of abscissae, one matrix row per row.  Each row starts from its
     best point ``x``, of value ``v``, found by a scan of spacing ``h``, so
-    a concave slice peaks in ``[x - h, x + h]``.  Each call scans
-    ``_SECTION_POINTS`` even points of that bracket, cut to the box; ``x``
-    moves only on a strict gain and ``h`` becomes the scan's spacing.  A
-    row stops when concavity certifies its value: the slice's maximum
-    exceeds a best scan point with both neighbours by at most the larger
-    neighbour drop, here at most 1e-13 (1 + |v|).  Otherwise it stops at a
-    bracket of 1e-15 relative, a few ulps of ``x``.  A bracket whose points
-    are all -inf simply shrinks around ``x``.  Returns ``(x, v)``; ``v`` is
-    never below the start and is ``fun`` at ``x``.
+    a concave slice peaks in ``[x - h, x + h]``.  Each pass makes one call
+    over every row still moving, scanning ``_SECTION_POINTS`` even points
+    of its bracket, cut to the box; ``x`` moves only on a strict gain and
+    ``h`` becomes the scan's spacing.  A row stops when concavity
+    certifies its value: the slice's maximum exceeds a best scan point
+    with both neighbours by at most the larger neighbour drop, here at
+    most 1e-13 (1 + |v|).  Otherwise it stops at a bracket of 1e-15
+    relative, a few ulps of ``x``.  A bracket whose points are all -inf
+    simply shrinks around ``x``.  Returns ``(x, v)``; ``v`` is never below
+    the start and is ``fun`` at ``x``.
     """
     x, v, h = (np.array(a, dtype=float) for a in (x, v, h))
-    pending = np.arange(x.size)  # queue: a call takes its head, rows going on rejoin the back
+    rows = np.arange(x.size)
     with np.errstate(invalid="ignore"):
-        while pending.size:
-            rows, pending = pending[:_SECTION_ROWS], pending[_SECTION_ROWS:]
+        while rows.size:
             a = np.maximum(lo[rows], x[rows] - h[rows])
             b = np.minimum(hi[rows], x[rows] + h[rows])
             h[rows] = step = (b - a) / (_SECTION_POINTS - 1)
@@ -196,7 +190,7 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
             certified = (j == inner) & (drop <= 1e-13 * (1.0 + np.abs(v[rows])))
             # written so that a NaN bracket fails the test and stops too
             wide = 2.0 * h[rows] >= 1e-15 * (1.0 + np.abs(x[rows]))
-            pending = np.concatenate([pending, rows[wide & ~certified]])
+            rows = rows[wide & ~certified]
     return x, v
 
 
@@ -334,9 +328,9 @@ class ConjugateValue:
     start_values: tuple[float, ...]
 
 
-# search rows of one lockstep ascent: bounds the coarse scan matrices,
-# whose size grows with the dual grid
-_BATCH_ROWS = 1024
+# dual points of one lockstep ascent, four search rows each at most: bounds
+# the coarse scan matrices, whose size grows with the dual grid
+_BATCH_POINTS = 256
 # lines of one walk call, in the sweeps and the polish alike: bounds the
 # speculative (row, line) batch, whose scan blocks the row evaluators copy
 # several times; the temporaries grow with the cap, while the saving
@@ -349,22 +343,22 @@ def _lockstep(
 ) -> list[ConjugateValue]:
     """Conjugates at every row of ``duals``, searched together in lockstep.
 
-    Every dual point starts from the origin, the properness witness, the
-    (clipped) point itself and seeded random points, the same for every
-    point; duplicate starts of a point are searched once.  One ascent runs
-    over all (point, start) rows.  If a point's best maximiser sits on the
-    box boundary its supremum may be infinite and it is flagged; otherwise
-    disagreeing restarts raise SearchDiverged for the first such point.
+    Every dual point is searched from four starts: the origin, the
+    properness witness, the (clipped) point itself and one random point
+    drawn from ``cfg.seed``, the same for every point.  Duplicate starts of
+    a point are searched once.  One ascent runs over all (point, start)
+    rows.  If a point's best maximiser sits on the box boundary its
+    supremum may be infinite and it is flagged; otherwise disagreeing
+    restarts raise SearchDiverged for the first such point.
     """
     lo, hi = cfg.box
     n = space.size
-    rng = np.random.default_rng(cfg.seed)
-    extra = [rng.uniform(lo / 8.0, hi / 8.0, n) for _ in range(cfg.extra_starts)]
+    random_start = np.random.default_rng(cfg.seed).uniform(lo / 8.0, hi / 8.0, n)
     witness = rho.witness(space).array
     owner, starts = [], []
     for p, g in enumerate(duals):
         seen: set[tuple[float, ...]] = set()
-        for start in [np.zeros(n), witness, np.clip(g, lo, hi), *extra]:
+        for start in [np.zeros(n), witness, np.clip(g, lo, hi), random_start]:
             key = tuple(np.round(start, 12).tolist())
             if key not in seen:
                 seen.add(key)
@@ -427,7 +421,11 @@ class ConjugateField:
         dual_points,
         config: SearchConfig | None = None,
     ) -> ConjugateField:
-        """Conjugates at every dual point, by lockstep batches of at most ``_BATCH_ROWS`` search rows."""
+        """Conjugates at every dual point, searched in lockstep batches of ``_BATCH_POINTS`` points.
+
+        Rows never interact, so a point's search depends neither on the
+        batching nor on the rest of the grid.
+        """
         points = list(dual_points)
         if not points:
             raise EmptyDualGrid("no dual points supplied")
@@ -436,8 +434,8 @@ class ConjugateField:
             raise ValueError("dual points must share one space")
         matrix = np.array([p.array for p in points])
         cfg = config or SearchConfig()
-        step = max(1, _BATCH_ROWS // (3 + cfg.extra_starts))  # points per lockstep batch
-        batches = (_lockstep(rho, space, matrix[i : i + step], cfg) for i in range(0, len(points), step))
+        starts = range(0, len(points), _BATCH_POINTS)
+        batches = (_lockstep(rho, space, matrix[i : i + _BATCH_POINTS], cfg) for i in starts)
         reports = [cv for batch in batches for cv in batch]
         flags = np.array([cv.possibly_infinite for cv in reports], dtype=bool)
         values = np.array([math.inf if cv.possibly_infinite else cv.value for cv in reports])
@@ -536,6 +534,12 @@ def dual_representation_check(
 
 # -- dual grids ---------------------------------------------------------------
 
+# the largest conjugate search the CLI starts: each start of a dual point
+# polishes along n(n - 1) + 1 lines of n cells, so a search costs about
+# (dual points) x cells^2 line searches, each of them longer with the cells
+MAX_SEARCH_CELLS = 64
+MAX_SEARCH_WORK = 50_000
+
 
 def lattice_units(weight: float, step: float) -> int:
     """Steps of ``step`` in the unit mass on cells of ``weight``; ValueError unless it divides."""
@@ -547,6 +551,21 @@ def lattice_units(weight: float, step: float) -> int:
     return units
 
 
+def lattice_size(n: int, units: int, limit: int) -> int:
+    """C(units + n - 1, n - 1), the points of a density lattice, or a count above ``limit``.
+
+    The count is a running product that stops once it passes the limit,
+    so a refusal takes a few steps however large the lattice.
+    """
+    # C(units + n - 1, k) for k = 1 .. min(units, n - 1): exact, and never decreasing
+    top, count = units + n - 1, 1
+    for k in range(1, min(units, n - 1) + 1):
+        count = count * (top - k + 1) // k
+        if count > limit:
+            break
+    return count
+
+
 def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable]:
     """All densities on the space whose values are multiples of ``step``.
 
@@ -555,20 +574,15 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
     ``units = 1 / (step * weight)`` steps among the n cells, C(units + n - 1,
     n - 1) of them, listed in lexicographic order of the cell counts; a
     lattice of more than 2,000,000 points raises ValueError before any is
-    built.  The count is a running product that stops once it passes the
-    limit, so a refusal takes a few steps however large the lattice.
+    built, after the few steps of ``lattice_size``.
     """
     n = space.size
     w = space.weights[0]
     if any(wi != w for wi in space.weights):
         raise ValueError("density lattices need equal weights")
     units = lattice_units(w, step)
-    # C(units + n - 1, k) for k = 1 .. min(units, n - 1): exact, and never decreasing
-    top, count = units + n - 1, 1
-    for k in range(1, min(units, n - 1) + 1):
-        count = count * (top - k + 1) // k
-        if count > 2_000_000:
-            raise ValueError("density lattice too large: more than 2,000,000 points")
+    if lattice_size(n, units, 2_000_000) > 2_000_000:
+        raise ValueError("density lattice too large: more than 2,000,000 points")
     out: list[RandomVariable] = []
     # stars and bars: n - 1 bars among units + n - 1 slots; cell counts are the gaps
     for bars in itertools.combinations(range(units + n - 1), n - 1):

@@ -516,43 +516,37 @@ class DisjointVerdict:
 def is_disjoint(s: VectorSequence) -> DisjointVerdict:
     """Exact check that |x_n| ^ |x_m| = 0 for all n < m, by a sweep over supports.
 
-    The support of |x| is the set of prefix coordinates where it is
-    nonzero, plus, when its tail is nonzero, the coordinates k from
-    T = len(prefix) + 1 on where its value is nonzero.  ``abs`` keeps the
-    coordinates that settle the tail's sign in its prefix, so every
-    coordinate of |x| is at least 0.  Tail values are read as ``meet``
-    reads them, from ``head``.  Two elements therefore overlap iff their
-    prefix supports share a coordinate, or both tails are nonzero, or one
-    element's prefix support reaches a coordinate k >= T where the
-    other's tail is nonzero.
+    ``abs`` keeps the coordinates that settle the tail's sign in its
+    prefix, so every coordinate of |x| is at least 0, and values are read
+    as ``meet`` reads them, from ``head``.  Each element has one support
+    set, its nonzero coordinates up to ``reach``, the longest prefix of the
+    sequence: those of its prefix when its tail is zero, else those of
+    ``head(reach)``.  Past ``reach`` only tails are nonzero, so two
+    elements overlap iff their support sets meet or both tails are
+    nonzero.
 
     The witness is the lexicographically first overlapping pair (i, j).
     The sweep visits j in order and finds the smallest earlier i that
-    overlaps it; the first j reaching the overall smallest i is the
-    witness's j.
+    overlaps it, from the first element holding each coordinate and the
+    first element with a nonzero tail; the first j reaching the overall
+    smallest i is the witness's j.
     """
     if s.horizon < 2:
         raise ValueError("horizon must be >= 2")
     absolute = [abs(x) for x in s.elements]
     reach = max(len(ax.prefix) for ax in absolute)
-    first: dict[int, int] = {}  # coordinate -> first element with it in its prefix support
-    tailed = []  # (index, tail start T, head(reach)) for nonzero tails, in order
+    first: dict[int, int] = {}  # coordinate -> first element with it in its support
+    first_tailed = None  # first element with a nonzero tail
     witness = None
     for j, ax in enumerate(absolute):
-        support = [k for k, v in enumerate(ax.prefix, start=1) if v != 0.0]
+        values = ax.prefix if ax.tail.is_zero else ax.head(reach)
+        support = [k for k, v in enumerate(values, start=1) if v != 0.0]
         hits = [first[k] for k in support if k in first]
-        if ax.tail.is_zero:
-            for i, start, head in tailed:
-                if any(k >= start and head[k - 1] != 0.0 for k in support):
-                    hits.append(i)
-                    break
-        else:
-            head = ax.head(reach)
-            start = len(ax.prefix) + 1
-            hits += [i for k, i in first.items() if k >= start and head[k - 1] != 0.0]
-            if tailed:
-                hits.append(tailed[0][0])
-            tailed.append((j, start, head))
+        if not ax.tail.is_zero:
+            if first_tailed is not None:
+                hits.append(first_tailed)
+            else:
+                first_tailed = j
         if hits and (witness is None or min(hits) < witness[0]):
             witness = (min(hits), j)
         for k in support:

@@ -246,7 +246,9 @@ def conjugate(
     section search that stops once concavity certifies the value.
     Everything is recomputed on a doubled grid; if that moves any value
     psi by more than ``tol * (1 + |psi|)`` the grid is too coarse and
-    GridTooCoarse is raised.
+    GridTooCoarse is raised.  GridTooCoarse is also raised when psi is 0
+    on its whole range (phi linear, or too flat below ``s_max``), as when
+    the range is empty.
     """
     if not s_max > 0:
         raise ValueError("s_max must be > 0")
@@ -272,6 +274,10 @@ def conjugate(
         raise GridTooCoarse(
             f"doubling the grid moved the conjugate value at t={t_grid[i]:.6g} by {drift[i]:.3e}"
             f" > tol*(1+|psi|)={allowed[i]:.3e}"
+        )
+    if np.max(fine) <= 0.0:  # t_max is at most the slope of phi at 0
+        raise GridTooCoarse(
+            f"conjugate is 0 on its whole range [0, {t_max:.6g}]: phi is near linear up to s_max={s_max:g}"
         )
     return OrliczFunction.sampled(fine_t, fine, domain_cap=t_max)
 

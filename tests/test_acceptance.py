@@ -219,7 +219,7 @@ def test_criterion_4_uo_calculus_suite():
 
 def test_criterion_5_fenchel_moreau_suite():
     with criterion(5, "Fenchel-Moreau suite", 60.0):
-        cfg = SearchConfig(extra_starts=0, seed=5)
+        cfg = SearchConfig(seed=5)
         rng = np.random.default_rng(55)
         sp2 = ProbabilitySpace.dyadic(1)
         sp4 = ProbabilitySpace.dyadic(2)

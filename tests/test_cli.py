@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -169,6 +170,12 @@ class TestRun:
         assert code == 0
         assert report["verdicts"] == ["representable-evidence"]
 
+    def test_dualrep_runs_exactly_the_probes_asked_for(self):
+        # --probes 1 reported "probes": 1 over two probe results and 167 dual points
+        report, code = run(parse_config(["dualrep", "--probes", "1"]))
+        assert code == 0 and report["config"]["probes"] == 1
+        assert len(report["results"]["probes"]) == 1 and report["results"]["dual_points"] == 166
+
     def test_wall_time_is_null_for_determinism(self):
         cfg = parse_config(["norm", "--values", "1"])
         report, _ = run(cfg)
@@ -249,6 +256,9 @@ class TestCliProcess:
         (["conjugate", "--probes", "-1"], "probes"),
         # this one ran with the two fixed probes and exited 0
         (["dualrep", "--probes", "-1"], "probes"),
+        # these ran, dualrep with the two fixed probes, and exited 0
+        (["dualrep", "--probes", "0"], "probes"),
+        (["conjugate", "--probes", "0"], "probes"),
     ])
     def test_out_of_range_value_is_config_error(self, argv, field, capsys):
         # the library refused these at run time, as "uodual: error: ValueError: ..."
@@ -268,6 +278,20 @@ class TestCliProcess:
         expected = "uodual: config error: config field 'space_level': density lattice too large"
         assert captured.err.startswith(expected)
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["dualrep", "--functional", "supnorm-ball", "--space-level", "7"],
+        ["dualrep", "--space-level", "3", "--dual-grid-step", "0.5"],
+        ["dualrep", "--functional", "worst-case", "--space-level", "3", "--dual-grid-step", "1"],
+    ])
+    def test_oversized_search_is_refused_before_it_starts(self, argv, capsys):
+        # these searched for about a minute, over five minutes and 74 s
+        started = time.monotonic()
+        assert main(argv) == 1
+        assert time.monotonic() - started < 5.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: config error: config field 'space_level':")
+        assert "at most 64 cells" in captured.err and captured.out == ""
 
     def test_empty_search_box_is_config_error(self, capsys):
         # --box 0 used to search the single point 0 and report representable-evidence

@@ -233,15 +233,9 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="box"):
             SearchConfig(box=box)
 
-    @pytest.mark.parametrize("extra_starts", [-3, -5, 1.5, True])
-    def test_extra_starts_must_be_a_count(self, extra_starts):
-        # -3 used to raise ZeroDivisionError and -5 to run with no extra starts
-        with pytest.raises(ValueError, match="extra_starts"):
-            SearchConfig(extra_starts=extra_starts)
-
     def test_valid_configs_are_kept(self):
-        cfg = SearchConfig(box=(-1.0, 2.0), extra_starts=np.int64(0), seed=3)
-        assert cfg.box == (-1.0, 2.0) and cfg.extra_starts == 0
+        cfg = SearchConfig(box=(-1.0, 2.0), seed=3)
+        assert cfg.box == (-1.0, 2.0) and cfg.seed == 3
         cv = fenchel_conjugate(builtin("entropic", beta=1.0), rv([2.0, 2.0, 0.0, 0.0]), SearchConfig())
         assert cv.value == pytest.approx(math.log(2.0), abs=1e-6) and not cv.possibly_infinite
 
@@ -311,7 +305,7 @@ class TestBiconjugate:
 
     def test_monotone_in_dual_grid(self):
         rho = builtin("entropic", beta=1.0)
-        cfg = SearchConfig(extra_starts=0)
+        cfg = SearchConfig()
         probes = [rv([0.5, -0.5, 1.0, 0.0]), rv([0.0, 0.0, 0.0, 0.0])]
         coarse = density_lattice(SP4, 1.0)
         fine = density_lattice(SP4, 0.5)
@@ -335,7 +329,7 @@ class TestDualRepresentation:
         rng = np.random.default_rng(6)
         probes = [rv(rng.uniform(-1, 1, 4)) for _ in range(4)]
         grid = density_lattice(SP4, 0.5) + [rho.dual_witness(f) for f in probes]
-        rep = dual_representation_check(rho, probes, grid, 1e-3, SearchConfig(extra_starts=0))
+        rep = dual_representation_check(rho, probes, grid, 1e-3, SearchConfig())
         assert rep.verdict == "representable-evidence"
         assert all(g >= -1e-3 for g in rep.gaps)
 
@@ -427,7 +421,7 @@ class TestLockstepEngine:
     def test_scalar_only_field_matches_single_points(self):
         entropic = builtin("entropic", beta=1.0)
         rho = ConvexFunctional("entropic-scalar", evaluate=entropic.evaluate)
-        field = self.assert_field_matches_points(rho, self.MIXED[:4], SearchConfig(extra_starts=0))
+        field = self.assert_field_matches_points(rho, self.MIXED[:4], SearchConfig())
         for i, g in enumerate(self.MIXED[:4]):
             oracle = entropic.known_conjugate(g)
             if math.isinf(oracle):
@@ -438,7 +432,7 @@ class TestLockstepEngine:
     def test_batches_split_the_grid_without_changing_it(self, monkeypatch):
         rho = builtin("avar", alpha=0.5)
         whole = ConjugateField.compute(rho, self.MIXED)
-        monkeypatch.setattr(convex, "_BATCH_ROWS", 8)  # two points per lockstep batch
+        monkeypatch.setattr(convex, "_BATCH_POINTS", 2)
         split = ConjugateField.compute(rho, self.MIXED)
         assert split.boundary_flags.tolist() == whole.boundary_flags.tolist()
         for a, b in zip(split.reports, whole.reports):
@@ -573,7 +567,7 @@ class TestBatchedPolish:
     def test_scalar_only_functional(self, monkeypatch):
         rho = ConvexFunctional("entropic-scalar", evaluate=builtin("entropic", beta=1.0).evaluate)
         grid = TestLockstepEngine.MIXED[:4]
-        self.assert_identical(*self.fields(monkeypatch, rho, grid, SearchConfig(extra_starts=0)))
+        self.assert_identical(*self.fields(monkeypatch, rho, grid, SearchConfig()))
 
     def test_line_cap_does_not_change_the_field(self, monkeypatch):
         rho, grid = self.avar8()

@@ -323,7 +323,7 @@ class TestLscConsistencyWithDualRepresentation:
         const = generate("constant", RandomVariable.from_values(space, [0.5, -0.25, 1.0, 0.0]))
         for rho in (builtin("expectation"), builtin("entropic", beta=1.0), builtin("avar", alpha=0.5)):
             grid = density_lattice(space, 1.0) + [rho.dual_witness(f) for f in probes]
-            rep = dual_representation_check(rho, probes, grid, 1e-3, SearchConfig(extra_starts=0))
+            rep = dual_representation_check(rho, probes, grid, 1e-3, SearchConfig())
             assert rep.verdict == "representable-evidence", rho.name
             for seq in (generate("spike"), const):
                 lsc = check_bounded_uo_lsc(rho, seq, 16, 1e-9)

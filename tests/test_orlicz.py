@@ -267,6 +267,12 @@ class TestConjugate:
         with pytest.raises(GridTooCoarse):
             conjugate(bumpy, 5.0, 64, tol=1e-6)
 
+    @pytest.mark.parametrize("phi, s_max", [(OrliczFunction.power(1), 16.0), (OrliczFunction.exponential(0.5), 0.1)])
+    def test_conjugate_zero_on_its_range_raises_grid_too_coarse(self, phi, s_max):
+        # psi is 0 on all of [0, t_max], which OrliczFunction.sampled refused with a bare ValueError
+        with pytest.raises(GridTooCoarse, match="0 on its whole range"):
+            conjugate(phi, s_max, 64)
+
     def test_grid_drift_is_relative_to_the_value(self):
         # psi reaches about 1e219 here, and doubling the grid moved it by
         # 2.7e205, which an absolute tol of 1e-6 refused as GridTooCoarse
