@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .convex import (
-    MAX_SEARCH_CELLS,
     MAX_SEARCH_WORK,
     SearchConfig,
     UnknownName,
     builtin,
+    check_search_size,
     density_lattice,
     dual_representation_check,
     lattice_size,
@@ -323,25 +323,6 @@ def _run_norm(params: dict, seed: int):
     return results, ["ok"], 0
 
 
-def _check_search_size(rho, params: dict) -> None:
-    """ConfigInvalid unless the dual grid fits the search bound of ``convex``; counts it, builds none."""
-    cells = 2 ** params["space_level"]
-    limit = MAX_SEARCH_WORK // cells**2 if cells <= MAX_SEARCH_CELLS else 0  # dual points
-    points = params["probes"] if rho.dual_witness is not None else 0  # the probes' witnesses
-    if rho.cash_invariant:
-        units = lattice_units(2.0 ** -params["space_level"], params["dual_grid_step"])
-        points += lattice_size(cells, units, limit)
-    else:
-        points += 1  # the zero point
-    if points > limit:
-        grid = "density lattice" if rho.cash_invariant else "dual grid"
-        raise ConfigInvalid(
-            f"config field 'space_level': {grid} too large: a search on {cells} cells takes at most"
-            f" {limit:,} dual points, probe witnesses included ({MAX_SEARCH_WORK:,} / cells^2, and"
-            f" at most {MAX_SEARCH_CELLS} cells)"
-        )
-
-
 def _run_dualrep(params: dict, seed: int):
     rho = _parse_functional(params["functional"], params)
     box = abs(params["box"])
@@ -349,7 +330,19 @@ def _run_dualrep(params: dict, seed: int):
         cfg = SearchConfig(box=(-box, box), seed=seed)
     except ValueError as exc:
         raise ConfigInvalid(f"config field 'box': {exc}") from exc
-    _check_search_size(rho, params)
+    # count the grid built below, and refuse it before anything is built
+    cells = 2 ** params["space_level"]
+    if rho.cash_invariant:
+        units = lattice_units(2.0 ** -params["space_level"], params["dual_grid_step"])
+        base, points = "density lattice", lattice_size(cells, units, MAX_SEARCH_WORK)
+    else:
+        base, points = "dual grid", 1  # the zero point
+    witnesses = params["probes"] if rho.dual_witness is not None else 0
+    for field, grid, count in (("space_level", base, points), ("probes", "dual grid", points + witnesses)):
+        try:
+            check_search_size(cells, count)
+        except ValueError as exc:
+            raise ConfigInvalid(f"config field '{field}': {grid} too large: {exc}") from exc
     space = ProbabilitySpace.dyadic(params["space_level"])
     rng = np.random.default_rng(seed)
     # the first `probes` of: zero, the constant 0.5, then random points

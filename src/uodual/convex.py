@@ -140,6 +140,9 @@ _VALUE_TOL = 1e-5
 # scan points per line, and per row and call of the section search
 _COARSE_POINTS = 21
 _SECTION_POINTS = 16
+# rows of one section-search call: bounds its (rows, points) scan, which the
+# 2,049-row Orlicz refinement would otherwise hold at once
+_SECTION_ROWS = 512
 # share of the box width within which a maximiser counts as on the boundary
 _BOUNDARY_MARGIN = 1e-6
 
@@ -163,21 +166,23 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
     ``fun(idx, xs)`` evaluates the rows ``idx`` (an index array) at a
     matrix of abscissae, one matrix row per row.  Each row starts from its
     best point ``x``, of value ``v``, found by a scan of spacing ``h``, so
-    a concave slice peaks in ``[x - h, x + h]``.  Each pass makes one call
-    over every row still moving, scanning ``_SECTION_POINTS`` even points
-    of its bracket, cut to the box; ``x`` moves only on a strict gain and
-    ``h`` becomes the scan's spacing.  A row stops when concavity
-    certifies its value: the slice's maximum exceeds a best scan point
-    with both neighbours by at most the larger neighbour drop, here at
-    most 1e-13 (1 + |v|).  Otherwise it stops at a bracket of 1e-15
-    relative, a few ulps of ``x``.  A bracket whose points are all -inf
-    simply shrinks around ``x``.  Returns ``(x, v)``; ``v`` is never below
-    the start and is ``fun`` at ``x``.
+    a concave slice peaks in ``[x - h, x + h]``.  Each call scans
+    ``_SECTION_POINTS`` even points of the bracket of at most
+    ``_SECTION_ROWS`` rows, cut to the box; ``x`` moves only on a strict
+    gain and ``h`` becomes the scan's spacing.  A row stops when
+    concavity certifies its value: the slice's maximum exceeds a best
+    scan point with both neighbours by at most the larger neighbour drop,
+    here at most 1e-13 (1 + |v|).  Otherwise it stops at a bracket of
+    1e-15 relative, a few ulps of ``x``, or it rejoins the queue of rows
+    for a later call.  A bracket whose points are all -inf simply shrinks
+    around ``x``.  Returns ``(x, v)``; ``v`` is never below the start and
+    is ``fun`` at ``x``.
     """
     x, v, h = (np.array(a, dtype=float) for a in (x, v, h))
-    rows = np.arange(x.size)
+    pending = np.arange(x.size)  # queue: a call takes its head, rows going on rejoin the back
     with np.errstate(invalid="ignore"):
-        while rows.size:
+        while pending.size:
+            rows, pending = pending[:_SECTION_ROWS], pending[_SECTION_ROWS:]
             a = np.maximum(lo[rows], x[rows] - h[rows])
             b = np.minimum(hi[rows], x[rows] + h[rows])
             h[rows] = step = (b - a) / (_SECTION_POINTS - 1)
@@ -190,7 +195,7 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
             certified = (j == inner) & (drop <= 1e-13 * (1.0 + np.abs(v[rows])))
             # written so that a NaN bracket fails the test and stops too
             wide = 2.0 * h[rows] >= 1e-15 * (1.0 + np.abs(x[rows]))
-            rows = rows[wide & ~certified]
+            pending = np.concatenate([pending, rows[wide & ~certified]])
     return x, v
 
 
@@ -539,6 +544,16 @@ def dual_representation_check(
 # (dual points) x cells^2 line searches, each of them longer with the cells
 MAX_SEARCH_CELLS = 64
 MAX_SEARCH_WORK = 50_000
+
+
+def check_search_size(cells: int, points: int) -> None:
+    """ValueError unless a search of ``points`` dual points on ``cells`` cells is within the bound."""
+    limit = MAX_SEARCH_WORK // cells**2 if cells <= MAX_SEARCH_CELLS else 0
+    if points > limit:
+        raise ValueError(
+            f"a search on {cells} cells takes at most {limit:,} dual points"
+            f" ({MAX_SEARCH_WORK:,} / cells^2, and at most {MAX_SEARCH_CELLS} cells)"
+        )
 
 
 def lattice_units(weight: float, step: float) -> int:

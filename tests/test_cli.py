@@ -279,18 +279,20 @@ class TestCliProcess:
         assert captured.err.startswith(expected)
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["dualrep", "--functional", "supnorm-ball", "--space-level", "7"],
-        ["dualrep", "--space-level", "3", "--dual-grid-step", "0.5"],
-        ["dualrep", "--functional", "worst-case", "--space-level", "3", "--dual-grid-step", "1"],
+    @pytest.mark.parametrize("argv, field", [
+        (["dualrep", "--functional", "supnorm-ball", "--space-level", "7"], "space_level"),
+        (["dualrep", "--space-level", "3", "--dual-grid-step", "0.5"], "space_level"),
+        (["dualrep", "--functional", "worst-case", "--space-level", "3", "--dual-grid-step", "1"], "space_level"),
+        (["dualrep", "--probes", "4000"], "probes"),
     ])
-    def test_oversized_search_is_refused_before_it_starts(self, argv, capsys):
-        # these searched for about a minute, over five minutes and 74 s
+    def test_oversized_search_is_refused_before_it_starts(self, argv, field, capsys):
+        # the first three searched for about a minute, over five minutes and 74 s;
+        # in the last, only the probes' witnesses take the grid past the bound
         started = time.monotonic()
         assert main(argv) == 1
         assert time.monotonic() - started < 5.0
         captured = capsys.readouterr()
-        assert captured.err.startswith("uodual: config error: config field 'space_level':")
+        assert captured.err.startswith(f"uodual: config error: config field '{field}':")
         assert "at most 64 cells" in captured.err and captured.out == ""
 
     def test_empty_search_box_is_config_error(self, capsys):
