@@ -310,9 +310,9 @@ def _run_norm(params: dict, seed: int):
     phi = _parse_orlicz(params["phi"])
     try:
         values = [float(v) for v in params["values"].split(",")]
+        f = RandomVariable.from_values(ProbabilitySpace.uniform(len(values)), values)
     except ValueError as exc:
         raise ConfigInvalid(f"values: {exc}") from exc
-    f = RandomVariable.from_values(ProbabilitySpace.uniform(len(values)), values)
     res = luxemburg_norm(f, phi, params["tol"])
     results = {
         "phi": phi.describe(),

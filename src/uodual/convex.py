@@ -5,18 +5,17 @@ The conjugate ``rho*(g) = sup_f ( <f,g> - rho(f) )`` is estimated by
 multi-start coordinate ascent inside a box.  Every line the ascent
 searches has one shape, the points ``clip(f + t d)`` of the box through
 the current point f, with t on the interval that keeps ``f + t d`` inside
-it and t = 0 (the current point) always a candidate.  Each line is
-maximised by a coarse scan plus a multi-point section search that stops
-when concavity certifies the value (the objective is concave on lines for
-convex rho).  Sweeps along the coordinate directions repeat while a row
-moves, then a polish along pair and diagonal directions escapes the ridge
-points that coordinate moves cannot leave on piecewise-linear objectives.
-Sweeps and polish share one batched walk over the rows of a direction
-matrix: a row's next lines from its current point are searched together,
-at most ``_POLISH_LINES`` per call, and the first that gains moves it,
-exactly as one line at a time would.  An ascent that ends on the box
-boundary is flagged "possibly infinite" rather than reported as a finite
-supremum.
+it.  Each line is one section search from t = 0 (the current point, with
+its known value) across the whole line, which stops when concavity
+certifies the value (the objective is concave on lines for convex rho).
+Sweeps along the coordinate directions repeat while a row moves, then a
+polish along pair and diagonal directions escapes the ridge points that
+coordinate moves cannot leave on piecewise-linear objectives.  Sweeps
+and polish share one batched walk over the rows of a direction matrix: a
+row's next lines from its current point are searched together, at most
+``_POLISH_LINES`` per call, and the first that gains moves it, exactly as
+one line at a time would.  An ascent that ends on the box boundary is
+flagged "possibly infinite" rather than reported as a finite supremum.
 
 The search runs in lockstep: every (dual point, start) pair of one
 ``ConjugateField.compute`` call is a row of one matrix, and each scan is
@@ -82,7 +81,9 @@ class ConvexFunctional:
 
     ``evaluate`` maps a RandomVariable to an extended real (math.inf for
     points outside the effective domain).  ``witness`` produces a point
-    with finite value on any compatible space (properness).  When a
+    with finite value on any compatible space (properness); every
+    conjugate search starts there, and raises ValueError if it is not
+    finite (after clipping to the search box).  When a
     closed-form conjugate or a maximising dual point is known they are
     attached as oracles for testing and for building adapted dual grids;
     they are never used inside the numerical conjugation itself.
@@ -137,8 +138,7 @@ class SearchConfig:
 _MAX_SWEEPS = 40
 # relative spread allowed between the restarts of one point
 _VALUE_TOL = 1e-5
-# scan points per line, and per row and call of the section search
-_COARSE_POINTS = 21
+# scan points per row and call of the section search
 _SECTION_POINTS = 16
 # rows of one section-search call: bounds its (rows, points) scan, which the
 # 2,049-row Orlicz refinement would otherwise hold at once
@@ -147,27 +147,14 @@ _SECTION_ROWS = 512
 _BOUNDARY_MARGIN = 1e-6
 
 
-def _scan(fun, rows, xs: np.ndarray, best_x: np.ndarray, best_v: np.ndarray):
-    """Per row, move to the best scanned point (the first of equals) if it beats the current best.
-
-    Returns the new best points and values, the scanned values and the best scan index.
-    """
-    values = fun(rows, xs)
-    r = np.arange(xs.shape[0])
-    j = np.argmax(values, axis=1)
-    top = values[r, j]
-    better = top > best_v
-    return np.where(better, xs[r, j], best_x), np.where(better, top, best_v), values, j
-
-
 def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarray, h: np.ndarray):
     """Vectorised section search for per-row maxima of concave slices on ``[lo, hi]``.
 
     ``fun(idx, xs)`` evaluates the rows ``idx`` (an index array) at a
     matrix of abscissae, one matrix row per row.  Each row starts from its
-    best point ``x``, of value ``v``, found by a scan of spacing ``h``, so
-    a concave slice peaks in ``[x - h, x + h]``.  Each call scans
-    ``_SECTION_POINTS`` even points of the bracket of at most
+    best point ``x``, of value ``v``, and a concave slice peaks in
+    ``[x - h, x + h]`` (``h = hi - lo`` spans all of ``[lo, hi]``).  Each
+    call scans ``_SECTION_POINTS`` even points of the bracket of at most
     ``_SECTION_ROWS`` rows, cut to the box; ``x`` moves only on a strict
     gain and ``h`` becomes the scan's spacing.  A row stops when
     concavity certifies its value: the slice's maximum exceeds a best
@@ -188,29 +175,20 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
             h[rows] = step = (b - a) / (_SECTION_POINTS - 1)
             xs = a[:, None] + step[:, None] * np.arange(_SECTION_POINTS)
             xs[:, -1] = b  # a box end is scanned exactly
-            x[rows], v[rows], values, j = _scan(fun, rows, xs, x[rows], v[rows])
+            values = fun(rows, xs)
             r = np.arange(rows.size)
+            j = np.argmax(values, axis=1)
+            top = values[r, j]
+            better = top > v[rows]  # the first of equal scan points, and only on a strict gain
+            x[rows] = np.where(better, xs[r, j], x[rows])
+            v[rows] = np.where(better, top, v[rows])
             inner = np.clip(j, 1, _SECTION_POINTS - 2)
-            drop = values[r, j] - np.minimum(values[r, inner - 1], values[r, inner + 1])
+            drop = top - np.minimum(values[r, inner - 1], values[r, inner + 1])
             certified = (j == inner) & (drop <= 1e-13 * (1.0 + np.abs(v[rows])))
             # written so that a NaN bracket fails the test and stops too
             wide = 2.0 * h[rows] >= 1e-15 * (1.0 + np.abs(x[rows]))
             pending = np.concatenate([pending, rows[wide & ~certified]])
     return x, v
-
-
-def _maximize_1d(fun, lo: np.ndarray, hi: np.ndarray):
-    """Coarse scan, then section search, of concave 1-D slices on ``[lo, hi]``, per row.
-
-    The coarse scan guards against slices that are -inf on most of the
-    box (indicator functionals), where a narrow bracket alone could miss
-    the finite region.  The abscissa 0, the current point of every line,
-    is always a candidate, so the surrounding ascent never regresses.
-    """
-    start = np.zeros(lo.size)
-    coarse = np.concatenate([start[:, None], np.linspace(lo, hi, _COARSE_POINTS, axis=1)], axis=1)
-    x, v, _, _ = _scan(fun, np.arange(lo.size), coarse, start, np.full(lo.size, -np.inf))
-    return section_max(fun, lo, hi, x, v, (hi - lo) / (_COARSE_POINTS - 1))
 
 
 def _pair_directions(n: int) -> np.ndarray:
@@ -245,13 +223,15 @@ def _walk(objective, f, val, sub, dirs: np.ndarray, box: tuple[float, float]) ->
 
     A line through a row's point f runs over the t that keep ``f + t d``
     inside ``box``, and ``objective(r, probes)`` gives the values of rows
-    ``r`` at its points.  While a row has not moved, its next lines all
-    start from the same point, so they are searched as one batch: at most
-    ``_POLISH_LINES`` lines per call, and at least one per row.  Each row
-    takes the first line whose gain clears rounding noise and searches the
-    lines after it again from its new point, so the moves are exactly
-    those of one line at a time.  Updates ``f`` and ``val`` in place and
-    returns the mask, over all rows, of those that moved.
+    ``r`` at its points; it is one ``section_max`` from t = 0, with the
+    row's value, across the whole line.  While a row has not moved, its
+    next lines all start from the same point, so they are searched as one
+    batch: at most ``_POLISH_LINES`` lines per call, and at least one per
+    row.  Each row takes the first line whose gain clears rounding noise
+    and searches the lines after it again from its new point, so the
+    moves are exactly those of one line at a time.  Updates ``f`` and
+    ``val`` in place and returns the mask, over all rows, of those that
+    moved.
     """
     lo, hi = box
     moved_any = np.zeros(f.shape[0], dtype=bool)
@@ -275,7 +255,8 @@ def _walk(objective, f, val, sub, dirs: np.ndarray, box: tuple[float, float]) ->
                 probes += base[idx, None, :]
                 return objective(owner[idx], np.clip(probes, lo, hi, out=probes))
 
-            x, v = _maximize_1d(line, t_lo[open_], t_hi[open_])
+            t_lo, t_hi = t_lo[open_], t_hi[open_]
+            x, v = section_max(line, t_lo, t_hi, np.zeros(t_lo.size), val[owner], t_hi - t_lo)
             ends[at], values[at] = np.clip(base + x[:, None] * d, lo, hi), v
             # improvements must clear rounding noise, or flat objectives would
             # drift to the box and be misread as unbounded
@@ -333,8 +314,8 @@ class ConjugateValue:
     start_values: tuple[float, ...]
 
 
-# dual points of one lockstep ascent, four search rows each at most: bounds
-# the coarse scan matrices, whose size grows with the dual grid
+# dual points of one lockstep ascent, three rows each: bounds the scan
+# matrices, whose size grows with the dual grid
 _BATCH_POINTS = 256
 # lines of one walk call, in the sweeps and the polish alike: bounds the
 # speculative (row, line) batch, whose scan blocks the row evaluators copy
@@ -348,33 +329,28 @@ def _lockstep(
 ) -> list[ConjugateValue]:
     """Conjugates at every row of ``duals``, searched together in lockstep.
 
-    Every dual point is searched from four starts: the origin, the
-    properness witness, the (clipped) point itself and one random point
-    drawn from ``cfg.seed``, the same for every point.  Duplicate starts of
-    a point are searched once.  One ascent runs over all (point, start)
-    rows.  If a point's best maximiser sits on the box boundary its
-    supremum may be infinite and it is flagged; otherwise disagreeing
-    restarts raise SearchDiverged for the first such point.
+    Every dual point is searched from three starts: the properness
+    witness, the (clipped) point itself and one random point drawn from
+    ``cfg.seed``, the same for every point.  Start k of point p is row
+    ``3p + k`` of one ascent.  The witness must have a finite value, or
+    the search could not leave it: ValueError otherwise.  If a point's
+    best maximiser sits on the box boundary its supremum may be infinite
+    and it is flagged; otherwise disagreeing restarts raise SearchDiverged
+    for the first such point.
     """
     lo, hi = cfg.box
-    n = space.size
-    random_start = np.random.default_rng(cfg.seed).uniform(lo / 8.0, hi / 8.0, n)
-    witness = rho.witness(space).array
-    owner, starts = [], []
-    for p, g in enumerate(duals):
-        seen: set[tuple[float, ...]] = set()
-        for start in [np.zeros(n), witness, np.clip(g, lo, hi), random_start]:
-            key = tuple(np.round(start, 12).tolist())
-            if key not in seen:
-                seen.add(key)
-                owner.append(p)
-                starts.append(start)
-    wg = duals * space.weight_array
+    points, n = duals.shape
+    witness = np.clip(rho.witness(space).array, lo, hi)
     score = functools.partial(rho.rows, space)
-    f, val = _ascend(score, wg[owner], np.array(starts), cfg.box)
-    bounds = np.searchsorted(owner, np.arange(len(duals) + 1))
-    best = np.array([s + int(np.argmax(val[s:e])) for s, e in zip(bounds[:-1], bounds[1:])])
-    best_f, best_v = f[best], val[best]
+    if not np.isfinite(score(witness[None, :])[0]):
+        raise ValueError(f"{rho.name!r} is not finite at its properness witness")
+    random_start = np.random.default_rng(cfg.seed).uniform(lo / 8.0, hi / 8.0, n)
+    starts = np.stack([np.broadcast_to(s, duals.shape) for s in (witness, duals, random_start)], axis=1)
+    wg = duals * space.weight_array
+    f, val = _ascend(score, np.repeat(wg, 3, axis=0), starts.reshape(-1, n), cfg.box)
+    f, val = f.reshape(points, 3, n), val.reshape(points, 3)
+    best = np.argmax(val, axis=1)
+    best_f, best_v = f[np.arange(points), best], val[np.arange(points), best]
 
     # a maximiser on the box edge means "possibly infinite" only when the
     # objective is still climbing there; an optimum that merely sits at the
@@ -383,7 +359,7 @@ def _lockstep(
     step = (hi - lo) / 256.0
     at_lo = best_f <= lo + margin
     edge_p, edge_i = np.nonzero(at_lo | (best_f >= hi - margin))
-    on_boundary = np.zeros(len(duals), dtype=bool)
+    on_boundary = np.zeros(points, dtype=bool)
     if edge_p.size:
         inner = best_f[edge_p]
         inner[np.arange(edge_p.size), edge_i] += np.where(at_lo[edge_p, edge_i], step, -step)
@@ -392,11 +368,10 @@ def _lockstep(
         on_boundary[edge_p[drop > 1e-7 * (1.0 + np.abs(best_v[edge_p]))]] = True
 
     out = []
-    for p, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-        values = val[s:e].tolist()
+    for p, values in enumerate(val.tolist()):
         v = float(best_v[p])
         finite = [x for x in values if x > -math.inf]
-        if not on_boundary[p] and finite and max(finite) - min(finite) > _VALUE_TOL * (1.0 + abs(v)):
+        if not on_boundary[p] and max(finite) - min(finite) > _VALUE_TOL * (1.0 + abs(v)):
             raise SearchDiverged(
                 f"restarts for {rho.name!r} disagree: {sorted(finite)} with no boundary escape"
             )
@@ -457,10 +432,11 @@ def fenchel_conjugate(
 ) -> ConjugateValue:
     """Estimate ``sup_f ( <f,g> - rho(f) )`` over the search box.
 
-    The one-point grid of ``ConjugateField.compute``: the same starts, the
-    "possibly infinite" flag when the maximiser is still climbing at the
-    box boundary, and SearchDiverged when restarts disagree without such
-    an escape.
+    The one-point grid of ``ConjugateField.compute``: the same three
+    starts (the witness, the clipped point g and the seeded random point),
+    the "possibly infinite" flag when the maximiser is still climbing at
+    the box boundary, SearchDiverged when restarts disagree without such
+    an escape, and ValueError when rho is not finite at its witness.
     """
     return ConjugateField.compute(rho, [g], config).reports[0]
 

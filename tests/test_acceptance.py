@@ -15,10 +15,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from uodual import cli, fatou
 from uodual.convex import (
     ConjugateField,
     SearchConfig,
     builtin,
+    builtin_names,
     density_lattice,
     dual_representation_check,
 )
@@ -272,6 +274,38 @@ def test_criterion_5_fenchel_moreau_suite():
         assert rep.verdict == "gap-found"
         assert rep.witness == 1
         assert math.isinf(rep.gaps[1])
+
+
+def _rising_to_one():
+    """f_n = (1 - 1/n) * 1 on level ceil(log2 n), rising to its declared limit 1."""
+    def element(n):
+        return RandomVariable.constant(ProbabilitySpace.dyadic(fatou._level(n)), 1.0 - 1.0 / n)
+
+    return fatou.TestSequence("rising", element, RandomVariable.ones(ProbabilitySpace.dyadic(0)))
+
+
+# the side of Fenchel-Moreau that still errs for each builtin, by the ROADMAP item that mends it
+_FM_XFAIL = {
+    "supnorm-ball": "ROADMAP item 2: grid gaps outside the closed ball read as gap-found",
+    **dict.fromkeys(
+        ("entropic", "avar", "worst-case", "expectation"),
+        "ROADMAP item 3: the last-half minimum of a rising sequence reads as a violation",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_FM_XFAIL[name]))
+    if name in _FM_XFAIL else name
+    for name in builtin_names()
+])
+def test_fenchel_moreau_sides_agree_with_lsc(name, capsys):
+    # on a finite space a proper convex rho equals rho** iff it is lsc, and every
+    # builtin but the open ball is lsc: both checks are positive exactly then
+    lsc = name != "open-ball"
+    assert (cli.main(["dualrep", "--functional", name]) == 0) == lsc
+    rep = check_bounded_uo_lsc(builtin(name), _rising_to_one(), 32, 1e-9)
+    assert (rep.verdict == "satisfied-evidence") == lsc
 
 
 def test_criterion_6_fatou_suite():

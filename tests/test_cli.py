@@ -233,6 +233,9 @@ class TestCliProcess:
         ["norm", "--phi", "power:inf"],
         ["norm", "--phi", "power:2:inf"],
         ["norm", "--phi", "exp:inf"],
+        # these two exited 1 as an uncaught ValueError
+        ["norm", "--values", "nan"],
+        ["norm", "--values", "1,inf"],
     ])
     def test_non_finite_float_is_config_error(self, argv):
         proc = run_cli(argv)

@@ -98,9 +98,9 @@ def dense_grid_conjugate(rho, g, bound=6.0, step=0.25):
 def _sequential_ascend(score, wg, starts, box, counts=None):
     """Reference for ``convex._ascend``: every line is searched on its own.
 
-    A sweep runs one ``_maximize_1d`` per coordinate direction e_i, on
+    A sweep runs one ``section_max`` per coordinate direction e_i, on
     ``[lo - f_i, hi - f_i]`` from t = 0, and repeats while it gains more
-    than 1e-12 relative.  Every round then runs one ``_maximize_1d`` per
+    than 1e-12 relative.  Every round then runs one ``section_max`` per
     pair or diagonal direction over all rows still active; ``counts``,
     when given, tallies those polish calls and the rounds.
     """
@@ -115,7 +115,7 @@ def _sequential_ascend(score, wg, starts, box, counts=None):
         def fun(idx, xs):
             return convex._objective(score, w[idx], probe(base[idx], xs))
 
-        x, v = convex._maximize_1d(fun, t_lo, t_hi)
+        x, v = convex.section_max(fun, t_lo, t_hi, np.zeros(sub.size), val[sub], t_hi - t_lo)
         accepted = v > val[sub] + 1e-12 * (1.0 + np.abs(val[sub]))
         moved = sub[accepted]
         f[moved] = probe(base[accepted], x[accepted, None])[:, 0]
@@ -203,6 +203,26 @@ class TestFenchelConjugate:
         rho = builtin("entropic", beta=1.0)
         assert fenchel_conjugate(rho, rv([1.1] * 4)).possibly_infinite
         assert fenchel_conjugate(rho, rv([2.0, 2.0, 0.5, -0.5])).possibly_infinite
+
+    @staticmethod
+    def above_five(**witness):
+        """The indicator of {f >= 5}, whose conjugate at -1 is -5."""
+        def evaluate(f):
+            return 0.0 if np.all(f.array >= 5) else math.inf
+
+        return ConvexFunctional("above-5", evaluate=evaluate, **witness)
+
+    def test_witness_outside_the_domain_is_refused(self):
+        # the default witness 0 lies outside the domain: every start was -inf, and the
+        # conjugate at -1 came out as -inf, unflagged
+        with pytest.raises(ValueError, match="above-5"):
+            fenchel_conjugate(self.above_five(), rv([-1.0] * 4))
+
+    def test_witness_inside_the_domain_finds_the_conjugate(self):
+        rho = self.above_five(witness=lambda s: RandomVariable.constant(s, 6.0))
+        cv = fenchel_conjugate(rho, rv([-1.0] * 4))
+        assert not cv.possibly_infinite
+        assert cv.value == pytest.approx(-5.0, abs=1e-9)
 
     def test_search_diverged_on_nonconvex_oracle(self):
         # two finite basins, mutually invisible along every scanned line
@@ -490,8 +510,9 @@ def concave_slices(draw):
 
         critical = [p1, p2]
     else:
-        # linear on a sub-interval around the start narrower than one coarse step, -inf elsewhere
-        width = (hi - lo) / (convex._COARSE_POINTS - 1) * draw(st.floats(1e-3, 0.99))
+        # linear on a sub-interval around the start narrower than one step of the
+        # first scan, -inf elsewhere
+        width = (hi - lo) / (convex._SECTION_POINTS - 1) * draw(st.floats(1e-3, 0.99))
         left = max(lo, -width * draw(st.floats(0.0, 1.0)))
         right = min(hi, left + width)
         m = draw(st.floats(-4.0, 4.0))
@@ -504,7 +525,7 @@ def concave_slices(draw):
 
 
 class TestSectionSearch:
-    """``convex._maximize_1d`` (coarse scan, then section search) against a dense-grid reference."""
+    """``convex.section_max`` from t = 0 across the whole line against a dense-grid reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(concave_slices(), min_size=1, max_size=4))
@@ -515,7 +536,8 @@ class TestSectionSearch:
         def rows(idx, xs):
             return np.array([funs[i](x) for i, x in zip(idx, xs)])
 
-        x, v = convex._maximize_1d(rows, lo, hi)
+        start = np.array([float(fun(np.array([0.0]))[0]) for fun in funs])
+        x, v = convex.section_max(rows, lo, hi, np.zeros(lo.size), start, hi - lo)
         for k, (fun, a, b, critical, edge) in enumerate(slices):
             grid = np.concatenate([np.linspace(a, b, 4001), np.clip(critical, a, b)])
             reference = float(np.max(fun(grid)))
@@ -577,12 +599,12 @@ class TestBatchedPolish:
             self.assert_identical(ConjugateField.compute(rho, grid), whole)
 
     def program_calls(self, monkeypatch):
-        """The program's ``_maximize_1d`` calls on the 8-cell AVaR grid: (sweeps, polish).
+        """The program's ``section_max`` calls on the 8-cell AVaR grid: (sweeps, polish).
 
         A call belongs to the walk it runs in; the sweeps walk the n coordinate directions.
         """
         calls, walks = [], []
-        walk, inner = convex._walk, convex._maximize_1d
+        walk, inner = convex._walk, convex.section_max
 
         def tagged(objective, f, val, sub, dirs, box):
             walks.append("sweep" if len(dirs) == f.shape[1] else "polish")
@@ -590,16 +612,16 @@ class TestBatchedPolish:
 
         with monkeypatch.context() as m:
             m.setattr(convex, "_walk", tagged)
-            m.setattr(convex, "_maximize_1d", lambda *a: calls.append(walks[-1]) or inner(*a))
+            m.setattr(convex, "section_max", lambda *a: calls.append(walks[-1]) or inner(*a))
             ConjugateField.compute(*self.avar8())
         return calls.count("sweep"), calls.count("polish")
 
     def reference_calls(self, monkeypatch):
-        """The reference's ``_maximize_1d`` calls on the same grid: (sweeps, polish, rounds)."""
+        """The reference's ``section_max`` calls on the same grid: (sweeps, polish, rounds)."""
         calls, counts = [], {"polish": 0, "rounds": 0}
-        inner = convex._maximize_1d
+        inner = convex.section_max
         with monkeypatch.context() as m:
-            m.setattr(convex, "_maximize_1d", lambda *a: calls.append(1) or inner(*a))
+            m.setattr(convex, "section_max", lambda *a: calls.append(1) or inner(*a))
             m.setattr(convex, "_ascend", lambda *a: _sequential_ascend(*a, counts=counts))
             ConjugateField.compute(*self.avar8())
         return len(calls) - counts["polish"], counts["polish"], counts["rounds"]
@@ -639,7 +661,7 @@ class TestBatchedPolish:
 
         with monkeypatch.context() as m:
             m.setattr(convex, "_objective", counted("objective", convex._objective))
-            m.setattr(convex, "_maximize_1d", counted("lines", convex._maximize_1d))
+            m.setattr(convex, "section_max", counted("lines", convex.section_max))
             ConjugateField.compute(*getattr(self, grid)())
         assert calls["objective"] <= 20 * calls["lines"]
 
