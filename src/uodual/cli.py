@@ -44,6 +44,7 @@ from .fatou import (
     generate,
 )
 from .lattice import (
+    _MAX_OFFSET,
     MAX_BUDGET,
     MIN_BUDGET,
     SpaceModel,
@@ -151,6 +152,7 @@ _BOUNDS = {
     "space_level": (0, math.inf),
     "n_max": (MIN_N_MAX, math.inf),
     "budget": (MIN_BUDGET, MAX_BUDGET),
+    "seed": (0, math.inf),  # numpy's default_rng takes no negative seed
 }
 
 
@@ -267,6 +269,8 @@ def _parse_tail_vector(spec: str) -> TailVector:
             return TailVector.zero()
         if parts[0] == "e" or (parts[0].startswith("e") and parts[0][1:].isdigit()):
             k = int(parts[0][1:]) if parts[0][1:] else int(parts[1])
+            if k > _MAX_OFFSET:  # e<K> spells out K coordinates, as many as an operation may
+                raise ValueError(f"K must be at most {_MAX_OFFSET}, got {k}")
             return TailVector.unit(k)
         if parts[0] == "geometric":
             return TailVector.geometric(float(parts[1]), float(parts[2]))

@@ -120,9 +120,10 @@ class ConvexFunctional:
 class SearchConfig:
     """The search box and the seed of the random start; defaults suit spaces of up to ~8 points.
 
-    ``box`` must be a finite interval ``(lo, hi)`` with lo < hi, or the
-    constructor raises ValueError.  ``seed`` draws the one random start
-    that every dual point shares.
+    ``box`` must be an interval ``(lo, hi)`` with lo < hi and a finite
+    width hi - lo, or the constructor raises ValueError: the section search
+    narrows its bracket from that width.  ``seed`` draws the one random
+    start that every dual point shares.
     """
 
     box: tuple[float, float] = (-64.0, 64.0)
@@ -130,8 +131,8 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.box
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"box must be a finite interval (lo, hi) with lo < hi, got {self.box!r}")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"box must be an interval (lo, hi) with lo < hi and a finite width, got {self.box!r}")
 
 
 # coordinate sweeps per polish round

@@ -594,23 +594,23 @@ def uo_dual_expected(m: SpaceModel) -> SpaceModel:
 # -- falsification search over norm-bounded disjoint families ----------------
 
 _DUAL_DELTA = 1e-6
-# the budgets uo_dual_test takes; at the largest a dyadic-block matrix takes
-# about 84 * budget**2 bytes (84 MB at the cap), and up to 64 family
-# matrices stay cached
+# the budgets uo_dual_test takes; the cap bounds a family's entries (at most
+# about 10,500, for the dyadic blocks, 0.25 MB as three arrays), and up to
+# 64 families stay cached
 MIN_BUDGET, MAX_BUDGET = 100, 1000
 
 
 def _unit_vector_family(m: SpaceModel, budget: int, seed: int):
-    return [TailVector.unit(n) for n in range(1, budget + 1)]
+    return [(n, [1.0]) for n in range(budget)]
 
 
 def _dyadic_block_family(m: SpaceModel, budget: int, seed: int):
     out = []
-    pos = 1
+    pos = 0
     for n in range(budget):
         length = 2 ** (n % 6)
         level = 1.0 / length if m is SpaceModel.ELL1 else 1.0
-        out.append(TailVector.from_prefix([0.0] * (pos - 1) + [level] * length))
+        out.append((pos, [level] * length))
         pos += length
     return out
 
@@ -618,18 +618,13 @@ def _dyadic_block_family(m: SpaceModel, budget: int, seed: int):
 def _random_block_family(m: SpaceModel, budget: int, seed: int):
     rng = random.Random(seed)
     out = []
-    pos = 1
+    pos = 0
     for _ in range(budget):
         pos += rng.randrange(0, 3)
         length = rng.randrange(1, 9)
         raw = [rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0)) for _ in range(length)]
-        if m is SpaceModel.ELL1:
-            total = math.fsum(abs(v) for v in raw)
-            vals = [v / total for v in raw]
-        else:
-            peak = max(abs(v) for v in raw)
-            vals = [v / peak for v in raw]
-        out.append(TailVector.from_prefix([0.0] * (pos - 1) + vals))
+        scale = math.fsum(abs(v) for v in raw) if m is SpaceModel.ELL1 else max(abs(v) for v in raw)
+        out.append((pos, [v / scale for v in raw]))
         pos += length
     return out
 
@@ -642,16 +637,17 @@ _FAMILIES = (
 
 
 @lru_cache(maxsize=64)
-def _family_matrix(family: str, model: SpaceModel, budget: int, seed: int) -> np.ndarray:
-    """Family elements stacked as rows (finitely supported, zero-padded)."""
-    build = dict(_FAMILIES)[family]
-    elements = build(model, budget, seed)
-    width = max(len(x.prefix) for x in elements)
-    matrix = np.zeros((len(elements), width))
-    for i, x in enumerate(elements):
-        matrix[i, : len(x.prefix)] = x.prefix
-    matrix.flags.writeable = False
-    return matrix
+def _family_entries(family: str, model: SpaceModel, budget: int, seed: int):
+    """A family's nonzero entries as flat arrays: element index, coordinate, value.
+
+    A builder gives one block per element, its first 0-based coordinate and
+    its values, in increasing coordinate order.
+    """
+    blocks = dict(_FAMILIES)[family](model, budget, seed)
+    element = np.repeat(np.arange(budget), [len(vals) for _, vals in blocks])
+    coordinate = np.array([start + k for start, vals in blocks for k in range(len(vals))])
+    value = np.array([v for _, vals in blocks for v in vals])
+    return element, coordinate, value
 
 
 @dataclass(frozen=True)
@@ -684,12 +680,14 @@ def uo_dual_test(phi: TailVector, m: SpaceModel, budget: int, seed: int) -> UoDu
     """Falsification search for bounded uo-continuity of a functional.
 
     Generates norm-bounded disjoint sequences (unit vectors, dyadic
-    blocks, seeded random blocks) and watches |phi(x_n)|.  A functional
-    outside the uo-dual keeps some subsequence away from 0; we flag a
-    violation when at least half of the last quarter of pairings exceed
-    delta = 1e-6.  Families are scanned in a fixed deterministic order,
-    and the witness is exact and replayable from the seed.  ``budget``, the
-    number of elements per family, lies in [100, 1000].
+    blocks, seeded random blocks) and watches |phi(x_n)|.  Each element is
+    one finite block, a first coordinate and its values, so x_n pairs with
+    phi over the block alone.  A functional outside the uo-dual keeps some
+    subsequence away from 0; we flag a violation when at least half of the
+    last quarter of pairings exceed delta = 1e-6.  Families are scanned in
+    a fixed deterministic order, and the witness is exact and replayable
+    from the seed.  ``budget``, the number of elements per family, lies in
+    [100, 1000].
     """
     if not MIN_BUDGET <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must lie in [{MIN_BUDGET}, {MAX_BUDGET}], got {budget}")
@@ -701,8 +699,9 @@ def uo_dual_test(phi: TailVector, m: SpaceModel, budget: int, seed: int) -> UoDu
     for family_name, _ in _FAMILIES:
         # the deterministic families do not depend on the seed; share them
         cache_seed = seed if family_name == "random-blocks" else 0
-        matrix = _family_matrix(family_name, m, budget, cache_seed)
-        values = matrix @ phi.head(matrix.shape[1])
+        element, coordinate, value = _family_entries(family_name, m, budget, cache_seed)
+        reach = int(coordinate[-1]) + 1
+        values = np.bincount(element, value * phi.head(reach)[coordinate], minlength=budget)
         tail_start = 3 * budget // 4
         tail_vals = np.abs(values[tail_start:])
         hits = np.nonzero(tail_vals >= _DUAL_DELTA)[0]

@@ -262,6 +262,10 @@ class TestCliProcess:
         # these ran, dualrep with the two fixed probes, and exited 0
         (["dualrep", "--probes", "0"], "probes"),
         (["conjugate", "--probes", "0"], "probes"),
+        # the first two failed in numpy's default_rng, and uodual-test ran and exited 0
+        (["dualrep", "--seed", "-1"], "seed"),
+        (["suite", "--seed", "-1"], "seed"),
+        (["uodual-test", "--seed", "-1"], "seed"),
     ])
     def test_out_of_range_value_is_config_error(self, argv, field, capsys):
         # the library refused these at run time, as "uodual: error: ValueError: ..."
@@ -304,6 +308,22 @@ class TestCliProcess:
         captured = capsys.readouterr()
         assert captured.err.startswith("uodual: config error: config field 'box':")
         assert captured.out == ""
+
+    def test_overflowing_search_box_is_config_error(self, capsys):
+        # the box width 2e308 overflows to inf, and the section search never narrowed it
+        assert main(["dualrep", "--box", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: config error: config field 'box':")
+        assert captured.out == ""
+
+    def test_unit_vector_past_the_offset_cap_is_config_error(self, capsys):
+        # e<K> built a prefix of K floats: e2000000 took 1.6 s and 224 MB
+        assert main(["uodual-test", "--phi", "e100001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: config error: phi: bad vector spec 'e100001':")
+        assert captured.out == ""
+        assert main(["uodual-test", "--phi", "e100000"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "consistent"
 
     @pytest.mark.parametrize("seq", ["typewriter", "oscillating", "constant"])
     def test_sequence_without_limit_is_config_error(self, seq, capsys):

@@ -1,11 +1,15 @@
+import collections
+import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uodual import lattice
 from uodual.lattice import (
     DisjointVerdict,
     FunctionalNotBounded,
@@ -663,6 +667,129 @@ class TestOcPart:
                 x = TailVector.geometric(rng.uniform(-2, 2), rng.uniform(0.1, 0.9), prefix)
             verdict = oc_part_membership(x, SpaceModel.ELL_INFTY)
             assert verdict.member == membership(x, SpaceModel.C0)
+
+
+# -- reference uo-dual search: each family built as TailVectors, then stacked
+# into a dense zero-padded matrix that multiplies phi.head(width) ------------
+
+
+def _reference_unit_vectors(m, budget, seed):
+    return [TailVector.unit(n) for n in range(1, budget + 1)]
+
+
+def _reference_dyadic_blocks(m, budget, seed):
+    out = []
+    pos = 1
+    for n in range(budget):
+        length = 2 ** (n % 6)
+        level = 1.0 / length if m is SpaceModel.ELL1 else 1.0
+        out.append(TailVector.from_prefix([0.0] * (pos - 1) + [level] * length))
+        pos += length
+    return out
+
+
+def _reference_random_blocks(m, budget, seed):
+    rng = random.Random(seed)
+    out = []
+    pos = 1
+    for _ in range(budget):
+        pos += rng.randrange(0, 3)
+        length = rng.randrange(1, 9)
+        raw = [rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0)) for _ in range(length)]
+        if m is SpaceModel.ELL1:
+            total = math.fsum(abs(v) for v in raw)
+            vals = [v / total for v in raw]
+        else:
+            peak = max(abs(v) for v in raw)
+            vals = [v / peak for v in raw]
+        out.append(TailVector.from_prefix([0.0] * (pos - 1) + vals))
+        pos += length
+    return out
+
+
+_REFERENCE_FAMILIES = (
+    ("unit-vectors", _reference_unit_vectors),
+    ("dyadic-blocks", _reference_dyadic_blocks),
+    ("random-blocks", _reference_random_blocks),
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_matrix(family, m, budget, seed):
+    elements = dict(_REFERENCE_FAMILIES)[family](m, budget, seed)
+    matrix = np.zeros((len(elements), max(len(x.prefix) for x in elements)))
+    for i, x in enumerate(elements):
+        matrix[i, : len(x.prefix)] = x.prefix
+    return matrix
+
+
+def reference_uo_dual_test(phi, m, budget, seed):
+    """The same decision as uo_dual_test, read from the dense family matrices."""
+    for family, _ in _REFERENCE_FAMILIES:
+        cache_seed = seed if family == "random-blocks" else 0
+        matrix = _reference_matrix(family, m, budget, cache_seed)
+        values = matrix @ phi.head(matrix.shape[1])
+        tail_start = 3 * budget // 4
+        tail_vals = np.abs(values[tail_start:])
+        hits = np.nonzero(tail_vals >= 1e-6)[0]
+        if 2 * len(hits) >= len(tail_vals):
+            idx = tuple(int(i) + tail_start + 1 for i in hits[:8])
+            vals = tuple(float(values[i - 1]) for i in idx)
+            return family, idx, vals
+    return None, (), ()
+
+
+class TestUoDualBlocks:
+    @staticmethod
+    def functionals(rng):
+        """(phi, model, budget, seed): general functionals, then long prefixes
+        that are 0 up to the budget and nonzero on a window further out, where
+        the unit vectors see nothing and a block family decides."""
+        for _ in range(40):
+            prefix = [rng.uniform(-2.0, 2.0) for _ in range(rng.randrange(0, 400))]
+            if rng.random() < 0.5:
+                phi = TailVector.geometric(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 0.999), prefix)
+            else:
+                phi = TailVector.constant(rng.choice([0.0, 1e-7, 1.0]), prefix)
+            yield phi, rng.choice(list(SpaceModel)), rng.choice((100, 160)), rng.choice((0, 3))
+        for _ in range(120):
+            budget = rng.choice((100, 160))
+            start = rng.randrange(budget, 11 * budget)
+            values = [rng.uniform(-2.0, 2.0) for _ in range(rng.randrange(1, 6 * budget))]
+            phi = TailVector.from_prefix([0.0] * start + values)
+            yield phi, rng.choice(list(SpaceModel)), budget, rng.choice((0, 3))
+
+    def test_matches_the_dense_reference(self):
+        deciders = collections.Counter()
+        for phi, m, budget, seed in self.functionals(random.Random(41)):
+            try:
+                v = uo_dual_test(phi, m, budget, seed)
+            except FunctionalNotBounded:
+                assert not phi.tail.vanishes and m is not SpaceModel.ELL1
+                continue
+            family, idx, vals = reference_uo_dual_test(phi, m, budget, seed)
+            deciders[family] += 1
+            assert (v.generator, v.witness_indices) == (family, idx)
+            assert v.verdict == ("consistent" if family is None else "violated")
+            if family in (None, "unit-vectors"):
+                assert v.witness_values == vals  # one term per pairing: bit for bit
+            else:  # the block sums add in another order
+                for a, b in zip(v.witness_values, vals):
+                    assert abs(a - b) <= 1e-13 * abs(b), (family, a, b)
+        # every family decides somewhere, and the block families often
+        assert min(deciders[f] for f, _ in _REFERENCE_FAMILIES) >= 10, deciders
+
+    def test_first_call_allocates_little(self):
+        # at budget 1000 the dense family matrices of a first call peaked at 150 MB
+        lattice._family_entries.cache_clear()
+        tracemalloc.start()
+        try:
+            v = uo_dual_test(TailVector.geometric(1.0, 0.5), SpaceModel.ELL1, 1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.consistent  # so all three families were built and scanned
+        assert peak <= 5 * 2**20
 
 
 class TestUoDual:
