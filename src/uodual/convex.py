@@ -7,7 +7,10 @@ searches has one shape, the points ``clip(f + t d)`` of the box through
 the current point f, with t on the interval that keeps ``f + t d`` inside
 it.  Each line is one section search from t = 0 (the current point, with
 its known value) across the whole line, which stops when concavity
-certifies the value (the objective is concave on lines for convex rho).
+certifies the value (the objective is concave on lines for convex rho):
+by the neighbour drops of the best scan point on smooth lines, and by a
+secant envelope at a kink or on a flat run, so the piecewise-linear lines
+of AVaR and the worst case stop after one or two scans.
 Sweeps along the coordinate directions repeat while a row moves, then a
 polish along pair and diagonal directions escapes the ridge points that
 coordinate moves cannot leave on piecewise-linear objectives.  Sweeps
@@ -116,14 +119,21 @@ class ConvexFunctional:
         return np.array(values, dtype=float)
 
 
+# the largest |coordinate| of a search box: further out, the rounding noise
+# of <f,g> - rho(f) passes the walk's 1e-12 gain rule, so the ascent drifts
+# along flat ridges to the box edge and misreads finite conjugates
+MAX_BOX = 4096.0
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """The search box and the seed of the random start; defaults suit spaces of up to ~8 points.
 
-    ``box`` must be an interval ``(lo, hi)`` with lo < hi and a finite
-    width hi - lo, or the constructor raises ValueError: the section search
-    narrows its bracket from that width.  ``seed`` draws the one random
-    start that every dual point shares.
+    ``box`` must be an interval ``(lo, hi)`` with lo < hi inside
+    ``[-MAX_BOX, MAX_BOX]``, or the constructor raises ValueError: the
+    section search narrows its bracket from the width hi - lo, and the
+    ascent cannot tell gains from rounding noise further out.  ``seed``
+    draws the one random start that every dual point shares.
     """
 
     box: tuple[float, float] = (-64.0, 64.0)
@@ -133,6 +143,8 @@ class SearchConfig:
         lo, hi = self.box
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError(f"box must be an interval (lo, hi) with lo < hi and a finite width, got {self.box!r}")
+        if max(abs(lo), abs(hi)) > MAX_BOX:
+            raise ValueError(f"box must lie inside [-{MAX_BOX:g}, {MAX_BOX:g}], got {self.box!r}")
 
 
 # coordinate sweeps per polish round
@@ -141,11 +153,20 @@ _MAX_SWEEPS = 40
 _VALUE_TOL = 1e-5
 # scan points per row and call of the section search
 _SECTION_POINTS = 16
-# rows of one section-search call: bounds its (rows, points) scan, which the
-# 2,049-row Orlicz refinement would otherwise hold at once
-_SECTION_ROWS = 512
+# rows of one section-search call: bounds its (rows, points + 1) scan at 8,192
+# values, which the 2,049-row Orlicz refinement would otherwise hold at once
+_SECTION_ROWS = 8192 // (_SECTION_POINTS + 1)
 # share of the box width within which a maximiser counts as on the boundary
 _BOUNDARY_MARGIN = 1e-6
+# columns of a call's scan: the even points, then the envelope probe
+_COLUMNS = np.arange(_SECTION_POINTS + 1.0)
+# the even points j-1, j+1, j-2, j+2 and j as columns of a scan padded by two,
+# and the envelope's reach in steps from j, one step either side inside the
+# scan (built from lists: a first numpy ufunc call at import raised the
+# resident memory of programs that import the package and never search)
+_NEAR = np.array([[1], [3], [0], [4], [2]])
+_UP = np.array([1.0] * (_SECTION_POINTS - 1) + [0.0])
+_DOWN = np.array([0.0] + [-1.0] * (_SECTION_POINTS - 1))
 
 
 def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarray, h: np.ndarray):
@@ -155,39 +176,75 @@ def section_max(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, v: np.ndarra
     matrix of abscissae, one matrix row per row.  Each row starts from its
     best point ``x``, of value ``v``, and a concave slice peaks in
     ``[x - h, x + h]`` (``h = hi - lo`` spans all of ``[lo, hi]``).  Each
-    call scans ``_SECTION_POINTS`` even points of the bracket of at most
-    ``_SECTION_ROWS`` rows, cut to the box; ``x`` moves only on a strict
-    gain and ``h`` becomes the scan's spacing.  A row stops when
-    concavity certifies its value: the slice's maximum exceeds a best
-    scan point with both neighbours by at most the larger neighbour drop,
-    here at most 1e-13 (1 + |v|).  Otherwise it stops at a bracket of
-    1e-15 relative, a few ulps of ``x``, or it rejoins the queue of rows
-    for a later call.  A bracket whose points are all -inf simply shrinks
-    around ``x``.  Returns ``(x, v)``; ``v`` is never below the start and
-    is ``fun`` at ``x``.
+    call takes at most ``_SECTION_ROWS`` rows and scans, per row,
+    ``_SECTION_POINTS`` even points of the bracket cut to the box plus one
+    envelope probe; ``x`` moves only on a strict gain and ``h`` becomes
+    the scan's spacing.  The maximum lies within one step of the best even
+    point x_j, and concavity bounds it twice over:
+
+    - by ``v`` plus the larger neighbour drop of x_j, when x_j has both;
+    - by the envelope: the secants through x_{j-2}, x_{j-1} and through
+      x_{j+1}, x_{j+2}, each where both values are finite, lie above the
+      slice within one step of x_j, so the largest value of their minimum
+      there bounds the maximum.  The bound is exact on a slice with one
+      kink among these points, and on a flat run, whose secant is level,
+      also one that starts at the first scan point.  A row keeps the least
+      bound of its calls, and the point where this call's bound is
+      attained is the probe of its next call.
+
+    A row stops when either bound exceeds ``v`` by at most
+    1e-13 (1 + |v|).  Otherwise it stops at a bracket of 1e-15 relative, a
+    few ulps of ``x``, or it rejoins the queue of rows for a later call.
+    A bracket whose points are all -inf simply shrinks around ``x``.
+    Returns ``(x, v)``; ``v`` is never below the start and is ``fun`` at
+    ``x``.
     """
     x, v, h = (np.array(a, dtype=float) for a in (x, v, h))
+    probe, bound = x.copy(), np.full(x.size, np.inf)
+    P, width = _SECTION_POINTS, min(x.size, _SECTION_ROWS)
+    # a call's even points padded by two -inf columns each side, and the flat
+    # offsets of the rows of that block and of the call's abscissae
+    scan = np.full((width, P + 4), -np.inf)
+    at_scan, at_xs = np.arange(width) * (P + 4), np.arange(width) * (P + 1)
     pending = np.arange(x.size)  # queue: a call takes its head, rows going on rejoin the back
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         while pending.size:
             rows, pending = pending[:_SECTION_ROWS], pending[_SECTION_ROWS:]
-            a = np.maximum(lo[rows], x[rows] - h[rows])
-            b = np.minimum(hi[rows], x[rows] + h[rows])
-            h[rows] = step = (b - a) / (_SECTION_POINTS - 1)
-            xs = a[:, None] + step[:, None] * np.arange(_SECTION_POINTS)
-            xs[:, -1] = b  # a box end is scanned exactly
+            n, xr, hr = rows.size, x[rows], h[rows]
+            a = np.maximum(lo[rows], xr - hr)
+            b = np.minimum(hi[rows], xr + hr)
+            h[rows] = step = (b - a) / (P - 1)
+            xs = a[:, None] + step[:, None] * _COLUMNS
+            xs[:, P - 1] = b  # a box end is scanned exactly
+            xs[:, P] = probe[rows]
             values = fun(rows, xs)
-            r = np.arange(rows.size)
-            j = np.argmax(values, axis=1)
-            top = values[r, j]
-            better = top > v[rows]  # the first of equal scan points, and only on a strict gain
-            x[rows] = np.where(better, xs[r, j], x[rows])
-            v[rows] = np.where(better, top, v[rows])
-            inner = np.clip(j, 1, _SECTION_POINTS - 2)
-            drop = top - np.minimum(values[r, inner - 1], values[r, inner + 1])
-            certified = (j == inner) & (drop <= 1e-13 * (1.0 + np.abs(v[rows])))
+            even = scan[:n]
+            even[:, 2:-2] = values[:, :P]
+            # the best even point; a row of -inf has its argmax in the padding, and j = 0
+            j = np.maximum(np.argmax(even, axis=1) - 2, 0)
+            near = np.ravel(even)[at_scan[:n] + j + _NEAR]  # f at j-1, j+1, j-2, j+2, j
+            xj = np.ravel(xs)[at_xs[:n] + j]
+            # the best point is x_j or the probe, and x moves only on a strict gain
+            up = values[:, P] > near[4]
+            top = np.where(up, values[:, P], near[4])
+            better = top > v[rows]
+            x[rows] = xr = np.where(better, np.where(up, xs[:, P], xj), xr)
+            v[rows] = vr = np.where(better, top, v[rows])
+            del values  # freed now, not held through the next call's objective
+            # at u steps from x_j the secants are L0 + sl u and R0 - sr u; one
+            # with a non-finite value is +inf, and the bound is their minimum
+            # where they cross, cut to the steps the scan has around x_j
+            slope = near[:2] - near[2:4]
+            known = np.isfinite(slope)
+            sl, sr = slope = np.where(known, slope, 0.0)
+            L0, R0 = np.where(known, near[:2], np.inf) + slope
+            u = np.fmax(np.fmin((R0 - L0) / (sl + sr), _UP[j]), _DOWN[j])
+            bound[rows] = br = np.fmin(bound[rows], np.minimum(L0 + sl * u, R0 - sr * u))
+            probe[rows] = np.minimum(np.maximum(xj + u * step, a), b)
+            drop = near[4] - np.minimum(near[0], near[1])
+            certified = np.fmin(drop, br - vr) <= 1e-13 * (1.0 + np.abs(vr))
             # written so that a NaN bracket fails the test and stops too
-            wide = 2.0 * h[rows] >= 1e-15 * (1.0 + np.abs(x[rows]))
+            wide = 2.0 * step >= 1e-15 * (1.0 + np.abs(xr))
             pending = np.concatenate([pending, rows[wide & ~certified]])
     return x, v
 
@@ -251,10 +308,12 @@ def _walk(objective, f, val, sub, dirs: np.ndarray, box: tuple[float, float]) ->
             owner, base, d = pending[at[0]], base[open_], d[open_]
 
             def line(idx, ts):
-                # built in place: one (lines, points, n) block, as large as the scores' input
+                # built in place: one (lines, points, n) block, as large as the scores' input;
+                # clipped by two ufuncs, which cost less than np.clip at this size
                 probes = ts[:, :, None] * d[idx, None, :]
                 probes += base[idx, None, :]
-                return objective(owner[idx], np.clip(probes, lo, hi, out=probes))
+                np.maximum(probes, lo, out=probes)
+                return objective(owner[idx], np.minimum(probes, hi, out=probes))
 
             t_lo, t_hi = t_lo[open_], t_hi[open_]
             x, v = section_max(line, t_lo, t_hi, np.zeros(t_lo.size), val[owner], t_hi - t_lo)

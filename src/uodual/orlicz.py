@@ -192,15 +192,17 @@ def _lower_hull(x: list[float], y: list[float]) -> list[int]:
     return hull
 
 
-def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int) -> np.ndarray:
-    s_grid = np.linspace(0.0, s_max, grid_size + 1)
-    phi_s = np.asarray(phi(s_grid))
-    # The grid maximiser of t*s_k - phi_s[k] is the lower-hull vertex where
-    # the hull slopes first reach t (Lucet's linear-time Legendre transform).
-    # Each row is then evaluated as t*s_grid - phi_s over that vertex +-2
-    # grid points, widened to every vertex whose slope lies within rounding
-    # of t, so float ties (collinear runs) settle on the first index, as an
-    # argmax over every s_k would.
+def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray):
+    """Per t, the index and value of the maximum of ``t*s_k - phi_s[k]`` over the grid.
+
+    The grid maximiser is the lower-hull vertex where the hull slopes
+    first reach t (Lucet's linear-time Legendre transform).  Each row is
+    evaluated as t*s_grid - phi_s over that vertex +-2 grid points,
+    widened to every vertex whose slope lies within rounding of t, so float
+    ties (collinear runs) settle on the first index, as an argmax over
+    every s_k would.
+    """
+    grid_size, s_max = s_grid.size - 1, s_grid[-1]
     hull = np.array(_lower_hull(s_grid.tolist(), phi_s.tolist()))
     slopes = np.maximum.accumulate(np.diff(phi_s[hull]) / np.diff(s_grid[hull]))
     # slope band: t*s - phi rounds at about eps * (|phi| + |t| s_max), so a
@@ -218,6 +220,14 @@ def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, gri
         row = t_grid[i] * s_grid[a : b + 1] - phi_s[a : b + 1]
         arg[i] = a + np.argmax(row)
         grid_best[i] = row[arg[i] - a]
+    return arg, grid_best
+
+
+def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int) -> np.ndarray:
+    s_grid = np.linspace(0.0, s_max, grid_size + 1)
+    phi_s = np.asarray(phi(s_grid))
+    # a call of its own, so that its (t, window) blocks are freed before the search
+    arg, grid_best = _grid_maximum(t_grid, s_grid, phi_s)
 
     def objective(rows, s_vals: np.ndarray) -> np.ndarray:
         return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))

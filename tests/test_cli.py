@@ -316,6 +316,15 @@ class TestCliProcess:
         assert captured.err.startswith("uodual: config error: config field 'box':")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("box", ["10000", "1e12"])
+    def test_search_box_past_4096_is_config_error(self, box, capsys):
+        # rounding noise at |f| ~ 1e4 let the ascent drift to the box edge: 10000
+        # exited 2 with gap-found, and 1e12 exited 1 with SearchDiverged
+        assert main(["dualrep", "--box", box]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: config error: config field 'box': box must lie inside")
+        assert captured.out == ""
+
     def test_unit_vector_past_the_offset_cap_is_config_error(self, capsys):
         # e<K> built a prefix of K floats: e2000000 took 1.6 s and 224 MB
         assert main(["uodual-test", "--phi", "e100001"]) == 1

@@ -257,6 +257,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="box"):
             SearchConfig(box=box)
 
+    @pytest.mark.parametrize("box", [(-10_000.0, 10_000.0), (0.0, 1e12), (-4096.5, -4000.0)])
+    def test_box_must_lie_inside_the_trusted_range(self, box):
+        # at |f| ~ 1e4 the ascent drifted on rounding noise: gap-found at box 10000,
+        # SearchDiverged from box 1e12 on
+        with pytest.raises(ValueError, match=r"box must lie inside \[-4096, 4096\]"):
+            SearchConfig(box=box)
+        assert SearchConfig(box=(-convex.MAX_BOX, convex.MAX_BOX)).box == (-4096.0, 4096.0)
+
     def test_valid_configs_are_kept(self):
         cfg = SearchConfig(box=(-1.0, 2.0), seed=3)
         assert cfg.box == (-1.0, 2.0) and cfg.seed == 3
@@ -480,7 +488,8 @@ def concave_slices(draw):
     in it, sits at 0.  ``critical`` holds the abscissae where the maximum
     can sit off a dense grid (the vertex, the kinks, the ends of the finite
     interval), and ``edge`` names the box end that is the unique
-    maximiser, if one is.
+    maximiser, if one is.  The tent and the flat run are the slices the
+    envelope stop certifies; the indicator's -inf runs must not pass it.
     """
     lo = draw(st.floats(-64.0, 60.0))
     hi = draw(st.floats(lo + 1.0, 64.0))
@@ -488,7 +497,7 @@ def concave_slices(draw):
     x0 = min(hi, lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
     lo, hi = lo - x0, hi - x0
     d = draw(st.floats(-10.0, 10.0))
-    family = draw(st.sampled_from(["quadratic", "plateau", "indicator", "edge"]))
+    family = draw(st.sampled_from(["quadratic", "plateau", "indicator", "edge", "tent", "flat"]))
     edge = None
     if family in ("quadratic", "edge"):
         a = draw(st.floats(1e-2, 1e2))
@@ -513,6 +522,26 @@ def concave_slices(draw):
             return d + np.minimum(np.minimum(m1 * (x - p1), 0.0), -m2 * (x - p2))
 
         critical = [p1, p2]
+    elif family == "tent":
+        # one kink, at the start or at a drawn point: the envelope of the secants
+        # either side meets there
+        c = draw(st.one_of(st.just(0.0), st.floats(lo, hi)))
+        m1, m2 = draw(st.floats(0.01, 4.0)), draw(st.floats(0.01, 4.0))
+
+        def fun(x):
+            return d + np.minimum(m1 * (x - c), -m2 * (x - c))
+
+        critical = [c]
+    elif family == "flat":
+        # level from lo to past the third point of the first scan, then falling:
+        # a flat run that starts at scan index 0
+        p = lo + (hi - lo) * draw(st.floats(2.0 / (convex._SECTION_POINTS - 1), 1.5))
+        m = draw(st.floats(0.01, 4.0))
+
+        def fun(x):
+            return d + np.minimum(0.0, -m * (x - p))
+
+        critical = [lo, p]
     else:
         # linear on a sub-interval around the start narrower than one step of the
         # first scan, -inf elsewhere
@@ -554,6 +583,28 @@ class TestSectionSearch:
                 end = a if edge == "lo" else b
                 tie = v[k] == fun(end) and abs(x[k] - end) <= convex._BOUNDARY_MARGIN * (b - a)
                 assert x[k] == end or tie, (x[k], end)
+
+
+    @pytest.mark.parametrize(
+        "fun, most",
+        [
+            (lambda x: -np.abs(x), 1),  # a kink at the start, whose value is known
+            (lambda x: np.minimum(2.0 * (x - 3.7), 0.5 * (3.7 - x)), 2),  # a kink between scan points
+            (lambda x: np.minimum(0.0, 5.0 - x), 1),  # level from the box end past the third scan point
+        ],
+        ids=["kink-at-start", "kink-between-points", "flat-from-box-end"],
+    )
+    def test_kinks_and_flat_runs_stop_within_two_calls(self, fun, most):
+        # the neighbour drops alone ran these down to the 1e-15 bracket, about 19 calls
+        calls = []
+
+        def rows(idx, xs):
+            calls.append(idx.size)
+            return fun(xs)
+
+        lo, hi = np.array([-10.0]), np.array([10.0])
+        _, v = convex.section_max(rows, lo, hi, np.zeros(1), fun(np.zeros(1)), hi - lo)
+        assert len(calls) <= most and abs(v[0]) <= 1e-13
 
 
 class TestBatchedPolish:
@@ -667,7 +718,8 @@ class TestBatchedPolish:
             m.setattr(convex, "_objective", counted("objective", convex._objective))
             m.setattr(convex, "section_max", counted("lines", convex.section_max))
             ConjugateField.compute(*getattr(self, grid)())
-        assert calls["objective"] <= 20 * calls["lines"]
+        # the envelope certifies the kinks of AVaR lines in one or two scans
+        assert calls["objective"] <= {"avar8": 4, "gibbs4": 20}[grid] * calls["lines"]
 
 
 class TestBuiltins:
