@@ -5,10 +5,10 @@ and ``suite``.  Every run with the same configuration and seed produces a
 byte-identical report; wall time is therefore printed to stderr (with
 ``--timing``) and kept null inside the report itself.
 
-Exit codes: 0 when all verdicts are satisfied/consistent, 2 when a
-mathematical counterexample was found (violated / gap-found), 1 on
-configuration or runtime errors.  The distinction lets CI assert expected
-counterexamples without conflating them with crashes.
+Exit codes: 2 when a verdict is a mathematical counterexample (gap-found,
+violated, or a suite item's fail), 0 otherwise, 1 on configuration or
+runtime errors.  The distinction lets CI assert expected counterexamples
+without conflating them with crashes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .convex import (
     lattice_units,
 )
 from .fatou import (
+    MAX_N_MAX,
     MIN_N_MAX,
     ExtractionStalled,
     NotConvergent,
@@ -57,7 +58,7 @@ from .lattice import (
     uo_dual_test,
 )
 from .measure import ProbabilitySpace, RandomVariable, check_tol
-from .orlicz import MIN_GRID_SIZE, OrliczFunction, conjugate, luxemburg_norm
+from .orlicz import MAX_GRID_SIZE, MIN_GRID_SIZE, OrliczFunction, conjugate, luxemburg_norm
 
 __all__ = ["ConfigInvalid", "ExperimentConfig", "main", "parse_config", "run"]
 
@@ -145,12 +146,14 @@ def _as_str(value):
 # itself first, then converted like a config-file value
 _CONVERT = {int: _as_int, float: _as_float, str: _as_str}
 
-# the range the library accepts for each field it bounds, read from the library
+# the range the library accepts for each field it bounds, read from the library;
+# `conjugate` reads its probes one by one in Python, and a `dualrep` search
+# that passes check_search_size takes fewer than 65,536 of them
 _BOUNDS = {
-    "grid_size": (MIN_GRID_SIZE, math.inf),
-    "probes": (1, math.inf),
+    "grid_size": (MIN_GRID_SIZE, MAX_GRID_SIZE),
+    "probes": (1, 65_536),
     "space_level": (0, math.inf),
-    "n_max": (MIN_N_MAX, math.inf),
+    "n_max": (MIN_N_MAX, MAX_N_MAX),
     "budget": (MIN_BUDGET, MAX_BUDGET),
     "seed": (0, math.inf),  # numpy's default_rng takes no negative seed
 }
@@ -307,7 +310,7 @@ def _run_conjugate(params: dict, seed: int):
         "probe_psi": [float(psi(t)) for t in t_probes],
         "knots": len(psi.grid_s),
     }
-    return results, ["ok"], 0
+    return results, ["ok"]
 
 
 def _run_norm(params: dict, seed: int):
@@ -324,7 +327,7 @@ def _run_norm(params: dict, seed: int):
         "bracket": list(res.bracket),
         "modular_at_value": res.modular_at_value,
     }
-    return results, ["ok"], 0
+    return results, ["ok"]
 
 
 def _run_dualrep(params: dict, seed: int):
@@ -366,8 +369,7 @@ def _run_dualrep(params: dict, seed: int):
         "max_gap": report.max_gap,
         **report.to_dict(),
     }
-    code = 0 if report.verdict == "representable-evidence" else 2
-    return results, [report.verdict], code
+    return results, [report.verdict]
 
 
 def _run_fatou(params: dict, seed: int):
@@ -377,7 +379,7 @@ def _run_fatou(params: dict, seed: int):
     except (UnknownName, NotConvergent) as exc:
         raise ConfigInvalid(f"seq: {exc}") from exc
     results = {"functional": rho.name, **asdict(report)}
-    return results, [report.verdict], 2 if report.violated else 0
+    return results, [report.verdict]
 
 
 def _run_uodual_test(params: dict, seed: int):
@@ -390,7 +392,7 @@ def _run_uodual_test(params: dict, seed: int):
         "expected_dual": uo_dual_expected(model).value,
         **verdict.to_dict(),
     }
-    return results, [verdict.verdict], 0 if verdict.consistent else 2
+    return results, [verdict.verdict]
 
 
 # -- the smoke suite ----------------------------------------------------------
@@ -541,8 +543,11 @@ def _run_suite(params: dict, seed: int):
     ]
     ok = all(item["ok"] for item in items)
     verdicts = ["pass" if item["ok"] else "fail" for item in items]
-    return {"items": items, "all_ok": ok}, verdicts, 0 if ok else 2
+    return {"items": items, "all_ok": ok}, verdicts
 
+
+# the verdicts that make a run exit 2: every handler returns (results, verdicts)
+_COUNTEREXAMPLES = frozenset({"gap-found", "violated", "fail"})
 
 _HANDLERS = {
     "conjugate": _run_conjugate,
@@ -555,8 +560,11 @@ _HANDLERS = {
 
 
 def run(config: ExperimentConfig) -> tuple[dict, int]:
-    """Dispatch a validated configuration and assemble the report."""
-    results, verdicts, code = _HANDLERS[config.command](config.params, config.seed)
+    """Dispatch a validated configuration and assemble the report.
+
+    The exit code is 2 when any verdict is a counterexample, 0 otherwise.
+    """
+    results, verdicts = _HANDLERS[config.command](config.params, config.seed)
     report = {
         "schema": "uodual/1",
         "version": __version__,
@@ -566,7 +574,7 @@ def run(config: ExperimentConfig) -> tuple[dict, int]:
         "verdicts": verdicts,
         "wall_time_s": None,
     }
-    return report, code
+    return report, 2 if _COUNTEREXAMPLES.intersection(verdicts) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

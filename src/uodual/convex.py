@@ -21,14 +21,15 @@ one line at a time would.  An ascent that ends on the box boundary is
 flagged "possibly infinite" rather than reported as a finite supremum.
 
 The search runs in lockstep: every (dual point, start) pair of one
-``ConjugateField.compute`` call is a row of one matrix, and each scan is
+``ConjugateField.compute`` call is a row of one ascent, and each scan is
 a single numpy call over the rows still moving.  Rows never interact, so
 each follows the path a search of its own point from its own start would
-take; ``fenchel_conjugate`` is the one-point grid.  Functionals score a
-``(rows, n)`` matrix of candidates through ``ConvexFunctional.rows``:
-the builtins do it in one call (a logsumexp, max or mean along an axis,
-AVaR by a row sort), and a functional given only a scalar ``evaluate``
-is called once per row.
+take, and a grid computed whole or in parts gives the same bits; its
+transient arrays grow linearly with the grid.  ``fenchel_conjugate`` is
+the one-point grid.  Functionals score a ``(rows, n)`` matrix of
+candidates through ``ConvexFunctional.rows``: the builtins do it in one
+call (a logsumexp, max or mean along an axis, AVaR by a row sort), and a
+functional given only a scalar ``evaluate`` is called once per row.
 
 The biconjugate over a finite dual grid is a lower bound for the true
 lower-semicontinuous convex hull; ``dual_representation_check`` compares
@@ -370,73 +371,14 @@ class ConjugateValue:
 
     value: float
     possibly_infinite: bool
-    argmax: tuple[float, ...]
     start_values: tuple[float, ...]
 
 
-# dual points of one lockstep ascent, three rows each: bounds the scan
-# matrices, whose size grows with the dual grid
-_BATCH_POINTS = 256
 # lines of one walk call, in the sweeps and the polish alike: bounds the
 # speculative (row, line) batch, whose scan blocks the row evaluators copy
 # several times; the temporaries grow with the cap, while the saving
 # levels off above a few dozen lines
 _POLISH_LINES = 48
-
-
-def _lockstep(
-    rho: ConvexFunctional, space: ProbabilitySpace, duals: np.ndarray, cfg: SearchConfig
-) -> list[ConjugateValue]:
-    """Conjugates at every row of ``duals``, searched together in lockstep.
-
-    Every dual point is searched from three starts: the properness
-    witness, the (clipped) point itself and one random point drawn from
-    ``cfg.seed``, the same for every point.  Start k of point p is row
-    ``3p + k`` of one ascent.  The witness must have a finite value, or
-    the search could not leave it: ValueError otherwise.  If a point's
-    best maximiser sits on the box boundary its supremum may be infinite
-    and it is flagged; otherwise disagreeing restarts raise SearchDiverged
-    for the first such point.
-    """
-    lo, hi = cfg.box
-    points, n = duals.shape
-    witness = np.clip(rho.witness(space).array, lo, hi)
-    score = functools.partial(rho.rows, space)
-    if not np.isfinite(score(witness[None, :])[0]):
-        raise ValueError(f"{rho.name!r} is not finite at its properness witness")
-    random_start = np.random.default_rng(cfg.seed).uniform(lo / 8.0, hi / 8.0, n)
-    starts = np.stack([np.broadcast_to(s, duals.shape) for s in (witness, duals, random_start)], axis=1)
-    wg = duals * space.weight_array
-    f, val = _ascend(score, np.repeat(wg, 3, axis=0), starts.reshape(-1, n), cfg.box)
-    f, val = f.reshape(points, 3, n), val.reshape(points, 3)
-    best = np.argmax(val, axis=1)
-    best_f, best_v = f[np.arange(points), best], val[np.arange(points), best]
-
-    # a maximiser on the box edge means "possibly infinite" only when the
-    # objective is still climbing there; an optimum that merely sits at the
-    # edge (e.g. a log pushed toward -inf with zero weight) stays finite
-    margin = _BOUNDARY_MARGIN * (hi - lo)
-    step = (hi - lo) / 256.0
-    at_lo = best_f <= lo + margin
-    edge_p, edge_i = np.nonzero(at_lo | (best_f >= hi - margin))
-    on_boundary = np.zeros(points, dtype=bool)
-    if edge_p.size:
-        inner = best_f[edge_p]
-        inner[np.arange(edge_p.size), edge_i] += np.where(at_lo[edge_p, edge_i], step, -step)
-        with np.errstate(invalid="ignore"):
-            drop = best_v[edge_p] - _objective(score, wg[edge_p], inner[:, None, :])[:, 0]
-        on_boundary[edge_p[drop > 1e-7 * (1.0 + np.abs(best_v[edge_p]))]] = True
-
-    out = []
-    for p, values in enumerate(val.tolist()):
-        v = float(best_v[p])
-        finite = [x for x in values if x > -math.inf]
-        if not on_boundary[p] and max(finite) - min(finite) > _VALUE_TOL * (1.0 + abs(v)):
-            raise SearchDiverged(
-                f"restarts for {rho.name!r} disagree: {sorted(finite)} with no boundary escape"
-            )
-        out.append(ConjugateValue(v, bool(on_boundary[p]), tuple(best_f[p].tolist()), tuple(values)))
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,10 +403,18 @@ class ConjugateField:
         dual_points,
         config: SearchConfig | None = None,
     ) -> ConjugateField:
-        """Conjugates at every dual point, searched in lockstep batches of ``_BATCH_POINTS`` points.
+        """Conjugates at every dual point, searched together in one lockstep ascent.
 
-        Rows never interact, so a point's search depends neither on the
-        batching nor on the rest of the grid.
+        Every dual point is searched from three starts: the properness
+        witness, the (clipped) point itself and one random point drawn from
+        ``config.seed``, the same for every point.  Start k of point p is
+        row ``3p + k`` of the ascent; rows never interact, so a point's
+        search does not depend on the rest of the grid.  The witness must
+        have a finite value, or the search could not leave it: ValueError
+        otherwise.  If a point's best maximiser sits on the box boundary
+        while the objective still climbs there, its supremum may be
+        infinite and it is flagged; otherwise disagreeing restarts raise
+        SearchDiverged for the first such point.
         """
         points = list(dual_points)
         if not points:
@@ -472,14 +422,46 @@ class ConjugateField:
         space = points[0].space
         if any(p.space != space for p in points):
             raise ValueError("dual points must share one space")
-        matrix = np.array([p.array for p in points])
+        duals = np.array([p.array for p in points])
         cfg = config or SearchConfig()
-        starts = range(0, len(points), _BATCH_POINTS)
-        batches = (_lockstep(rho, space, matrix[i : i + _BATCH_POINTS], cfg) for i in starts)
-        reports = [cv for batch in batches for cv in batch]
-        flags = np.array([cv.possibly_infinite for cv in reports], dtype=bool)
-        values = np.array([math.inf if cv.possibly_infinite else cv.value for cv in reports])
-        return cls(space, matrix, values, flags, tuple(reports))
+        lo, hi = cfg.box
+        count, n = duals.shape
+        witness = np.clip(rho.witness(space).array, lo, hi)
+        score = functools.partial(rho.rows, space)
+        if not np.isfinite(score(witness[None, :])[0]):
+            raise ValueError(f"{rho.name!r} is not finite at its properness witness")
+        random_start = np.random.default_rng(cfg.seed).uniform(lo / 8.0, hi / 8.0, n)
+        starts = np.stack([np.broadcast_to(s, duals.shape) for s in (witness, duals, random_start)], axis=1)
+        wg = duals * space.weight_array
+        f, val = _ascend(score, np.repeat(wg, 3, axis=0), starts.reshape(-1, n), cfg.box)
+        f, val = f.reshape(count, 3, n), val.reshape(count, 3)
+        best = np.argmax(val, axis=1)
+        best_f, best_v = f[np.arange(count), best], val[np.arange(count), best]
+
+        # a maximiser on the box edge means "possibly infinite" only when the
+        # objective is still climbing there; an optimum that merely sits at the
+        # edge (e.g. a log pushed toward -inf with zero weight) stays finite
+        margin = _BOUNDARY_MARGIN * (hi - lo)
+        step = (hi - lo) / 256.0
+        at_lo = best_f <= lo + margin
+        edge_p, edge_i = np.nonzero(at_lo | (best_f >= hi - margin))
+        flags = np.zeros(count, dtype=bool)
+        if edge_p.size:
+            inner = best_f[edge_p]
+            inner[np.arange(edge_p.size), edge_i] += np.where(at_lo[edge_p, edge_i], step, -step)
+            with np.errstate(invalid="ignore"):
+                drop = best_v[edge_p] - _objective(score, wg[edge_p], inner[:, None, :])[:, 0]
+            flags[edge_p[drop > 1e-7 * (1.0 + np.abs(best_v[edge_p]))]] = True
+
+        reports = []
+        for p, (v, starts_v) in enumerate(zip(best_v.tolist(), val.tolist())):
+            finite = [x for x in starts_v if x > -math.inf]
+            if not flags[p] and max(finite) - min(finite) > _VALUE_TOL * (1.0 + abs(v)):
+                raise SearchDiverged(
+                    f"restarts for {rho.name!r} disagree: {sorted(finite)} with no boundary escape"
+                )
+            reports.append(ConjugateValue(v, bool(flags[p]), tuple(starts_v)))
+        return cls(space, duals, np.where(flags, np.inf, best_v), flags, tuple(reports))
 
     def __len__(self) -> int:
         return self.dual_matrix.shape[0]
@@ -492,11 +474,8 @@ def fenchel_conjugate(
 ) -> ConjugateValue:
     """Estimate ``sup_f ( <f,g> - rho(f) )`` over the search box.
 
-    The one-point grid of ``ConjugateField.compute``: the same three
-    starts (the witness, the clipped point g and the seeded random point),
-    the "possibly infinite" flag when the maximiser is still climbing at
-    the box boundary, SearchDiverged when restarts disagree without such
-    an escape, and ValueError when rho is not finite at its witness.
+    The one-point grid of ``ConjugateField.compute``, whose docstring
+    states the starts, the "possibly infinite" flag and the errors.
     """
     return ConjugateField.compute(rho, [g], config).reports[0]
 
@@ -561,10 +540,13 @@ def dual_representation_check(
     A gap above tol at any probe (including an infinite gap at a probe
     where rho is declared infinite but the hull is finite) is a witness
     that rho is not represented by the dual grid at this resolution.
+    An empty list of probes raises ValueError before any search.
     """
     check_tol(tol)
-    conjugates = ConjugateField.compute(rho, dual_points, config)
     probes = list(probes)
+    if not probes:
+        raise ValueError("probes must hold at least one point")
+    conjugates = ConjugateField.compute(rho, dual_points, config)
     rho_vals = tuple(rho.evaluate(f) for f in probes)
     bi_vals = tuple(biconjugate(conjugates, f) for f in probes)
     gaps = tuple(r - b for r, b in zip(rho_vals, bi_vals))

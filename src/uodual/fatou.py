@@ -52,8 +52,10 @@ __all__ = [
 _AE_TOL = 1e-9
 # L1 norm above which an element breaks the norm-boundedness hypothesis of the lsc check
 _NORM_BOUND = 1e6
-# the shortest horizon check_bounded_uo_lsc takes
+# the shortest and the longest horizon check_bounded_uo_lsc takes: its
+# work grows with the square of the horizon
 MIN_N_MAX = 16
+MAX_N_MAX = 4_096
 
 
 class NotConvergent(ValueError):
@@ -197,8 +199,8 @@ def check_bounded_uo_lsc(
     1e6, otherwise the boundedness hypothesis fails (NotNormBounded) and
     the comparison would be meaningless.
     """
-    if n_max < MIN_N_MAX:
-        raise ValueError(f"n_max must be >= {MIN_N_MAX}")
+    if not MIN_N_MAX <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must lie in [{MIN_N_MAX}, {MAX_N_MAX}]")
     check_tol(tol)
     if s.declared_limit is None:
         raise NotConvergent(f"sequence {s.name!r} has no declared limit")

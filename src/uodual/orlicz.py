@@ -34,8 +34,10 @@ __all__ = [
 ]
 
 _CONVEXITY_TOL = 1e-9
-# the coarsest grid conjugate takes
+# the coarsest and the finest grid conjugate takes: its arrays hold
+# 2 * grid_size + 1 floats, and grid 65,536 takes seconds
 MIN_GRID_SIZE = 64
+MAX_GRID_SIZE = 65_536
 
 
 class GridTooCoarse(RuntimeError):
@@ -262,8 +264,8 @@ def conjugate(
     """
     if not s_max > 0:
         raise ValueError("s_max must be > 0")
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}")
+    if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must lie in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}]")
     check_tol(tol)
     h = s_max / grid_size
     slope = (phi(s_max) - phi(s_max - h)) / h

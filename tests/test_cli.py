@@ -266,6 +266,11 @@ class TestCliProcess:
         (["dualrep", "--seed", "-1"], "seed"),
         (["suite", "--seed", "-1"], "seed"),
         (["uodual-test", "--seed", "-1"], "seed"),
+        # these three had no upper bound: arrays of 2 * grid_size + 1 floats,
+        # work quadratic in n_max and a Python loop over the probes
+        (["conjugate", "--grid-size", "65537"], "grid_size"),
+        (["fatou", "--n-max", "4097"], "n_max"),
+        (["conjugate", "--probes", "65537"], "probes"),
     ])
     def test_out_of_range_value_is_config_error(self, argv, field, capsys):
         # the library refused these at run time, as "uodual: error: ValueError: ..."

@@ -377,6 +377,13 @@ class TestDualRepresentation:
         assert math.isinf(rep.gaps[1])
         assert len(rep.conjugates) == len(grid) and "conjugates" not in rep.to_dict()
 
+    def test_empty_probe_list_refused_before_the_search(self, monkeypatch):
+        # it read representable-evidence with no gaps, and max_gap raised a bare
+        # "max() arg is an empty sequence"
+        monkeypatch.setattr(ConjugateField, "compute", None)
+        with pytest.raises(ValueError, match="probes"):
+            dual_representation_check(builtin("expectation"), [], density_lattice(SP4, 0.5), 1e-6)
+
     def test_tol_validated(self):
         # a NaN tol used to read the gap at a probe outside the ball as representable
         rho = builtin("supnorm-ball")
@@ -461,14 +468,17 @@ class TestLockstepEngine:
             else:
                 assert field.values[i] == pytest.approx(oracle, abs=1e-5)
 
-    def test_batches_split_the_grid_without_changing_it(self, monkeypatch):
-        rho = builtin("avar", alpha=0.5)
-        whole = ConjugateField.compute(rho, self.MIXED)
-        monkeypatch.setattr(convex, "_BATCH_POINTS", 2)
-        split = ConjugateField.compute(rho, self.MIXED)
-        assert split.boundary_flags.tolist() == whole.boundary_flags.tolist()
-        for a, b in zip(split.reports, whole.reports):
-            assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9)
+    def test_grid_split_in_halves_gives_the_same_bits(self):
+        # 401 points, more than one batch of the old 256-point cap
+        grid = density_lattice(ProbabilitySpace.dyadic(1), 0.005)
+        for name in ("worst-case", "avar", "entropic"):
+            rho = builtin(name)
+            whole = ConjugateField.compute(rho, grid)
+            halves = [ConjugateField.compute(rho, part) for part in (grid[:200], grid[200:])]
+            assert repr(whole.reports) == repr(halves[0].reports + halves[1].reports), name
+            assert whole.values.tobytes() == b"".join(h.values.tobytes() for h in halves), name
+            flags = [b for h in halves for b in h.boundary_flags.tolist()]
+            assert whole.boundary_flags.tolist() == flags, name
 
     def test_supnorm_balls_match_support_function(self):
         grid = [rv([1.0, -2.0, 0.5, 0.0]), rv([-3.0, -1.0, 2.5, 4.0]), RandomVariable.zero(SP4)]

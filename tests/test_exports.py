@@ -16,6 +16,8 @@ DELETED = {
         "_RECENTRE_LEVELS",
         "_conjugates",
         "_SWEEP_TOL",
+        "_BATCH_POINTS",
+        "_lockstep",
     ),
     "uodual.fatou": ("TestSequence.ae_convergent", "LscReport.to_dict"),
     "uodual.lattice": (

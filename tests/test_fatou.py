@@ -192,8 +192,10 @@ class TestCheckBoundedUoLsc:
             check_bounded_uo_lsc(builtin("expectation"), blowup, 16, 1e-9)
 
     def test_n_max_validated(self):
-        with pytest.raises(ValueError, match="n_max"):
-            check_bounded_uo_lsc(builtin("expectation"), generate("spike"), 8, 1e-9)
+        # the work grows with the square of n_max, which had no upper bound
+        for n_max in (8, 4097):
+            with pytest.raises(ValueError, match="n_max"):
+                check_bounded_uo_lsc(builtin("expectation"), generate("spike"), n_max, 1e-9)
 
     def test_tol_validated(self):
         # a NaN tol used to read every comparison as satisfied

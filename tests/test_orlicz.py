@@ -256,6 +256,12 @@ class TestConjugate:
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 conjugate(OrliczFunction.power(2), 16.0, 64, tol=tol)
 
+    def test_grid_size_validated(self):
+        # arrays of 2 * grid_size + 1 floats, with no upper bound on grid_size
+        for grid_size in (63, 65_537):
+            with pytest.raises(ValueError, match="grid_size must lie in"):
+                conjugate(OrliczFunction.power(2), 16.0, grid_size)
+
     def test_unstable_sweep_reports_grid_too_coarse(self):
         # a narrow dip (validation bypassed) placed on a fine-grid point
         # that the coarse grid misses: refinement moves the sup
