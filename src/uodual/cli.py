@@ -146,12 +146,13 @@ def _as_str(value):
 # itself first, then converted like a config-file value
 _CONVERT = {int: _as_int, float: _as_float, str: _as_str}
 
-# the range the library accepts for each field it bounds, read from the library;
-# `conjugate` reads its probes one by one in Python, and a `dualrep` search
-# that passes check_search_size takes fewer than 65,536 of them
+# `conjugate` evaluates its probes one by one in Python
+_MAX_PROBES = 65_536
+
+# the range the library accepts for each field it bounds, read from the library
 _BOUNDS = {
     "grid_size": (MIN_GRID_SIZE, MAX_GRID_SIZE),
-    "probes": (1, 65_536),
+    "probes": (1, _MAX_PROBES),
     "space_level": (0, math.inf),
     "n_max": (MIN_N_MAX, MAX_N_MAX),
     "budget": (MIN_BUDGET, MAX_BUDGET),

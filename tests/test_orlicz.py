@@ -244,8 +244,10 @@ class TestConjugate:
         assert peak < 32 * 2**20
 
     def test_grid_size_validated(self):
-        with pytest.raises(ValueError, match="grid_size"):
-            conjugate(OrliczFunction.power(2), 4.0, 32)
+        # arrays of 2 * grid_size + 1 floats, so grid_size is bounded above too
+        for grid_size in (32, 63, 65_537):
+            with pytest.raises(ValueError, match="grid_size must lie in"):
+                conjugate(OrliczFunction.power(2), 4.0, grid_size)
         for s_max in (-1.0, math.nan):
             with pytest.raises(ValueError, match="s_max must be > 0"):
                 conjugate(OrliczFunction.power(2), s_max, 128)
@@ -255,12 +257,6 @@ class TestConjugate:
         for tol in (math.nan, -1.0):
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 conjugate(OrliczFunction.power(2), 16.0, 64, tol=tol)
-
-    def test_grid_size_validated(self):
-        # arrays of 2 * grid_size + 1 floats, with no upper bound on grid_size
-        for grid_size in (63, 65_537):
-            with pytest.raises(ValueError, match="grid_size must lie in"):
-                conjugate(OrliczFunction.power(2), 16.0, grid_size)
 
     def test_unstable_sweep_reports_grid_too_coarse(self):
         # a narrow dip (validation bypassed) placed on a fine-grid point
