@@ -432,7 +432,7 @@ class ConjugateField:
             raise ValueError(f"{rho.name!r} is not finite at its properness witness")
         random_start = np.random.default_rng(cfg.seed).uniform(lo / 8.0, hi / 8.0, n)
         starts = np.stack([np.broadcast_to(s, duals.shape) for s in (witness, duals, random_start)], axis=1)
-        wg = duals * space.weight_array
+        wg = duals * space.weights
         f, val = _ascend(score, np.repeat(wg, 3, axis=0), starts.reshape(-1, n), cfg.box)
         f, val = f.reshape(count, 3, n), val.reshape(count, 3)
         best = np.argmax(val, axis=1)
@@ -492,7 +492,7 @@ def biconjugate(field: ConjugateField, f: RandomVariable) -> float:
     finite = np.isfinite(field.values)
     if len(field) == 0 or not np.any(finite):
         raise EmptyDualGrid("no finite conjugate values on the dual grid")
-    scores = field.dual_matrix[finite] @ (field.space.weight_array * f.array)
+    scores = field.dual_matrix[finite] @ (field.space.weights * f.array)
     return float(np.max(scores - field.values[finite]))
 
 
@@ -610,8 +610,8 @@ def density_lattice(space: ProbabilitySpace, step: float) -> list[RandomVariable
     built, after the few steps of ``lattice_size``.
     """
     n = space.size
-    w = space.weights[0]
-    if any(wi != w for wi in space.weights):
+    w = float(space.weights[0])
+    if (space.weights != w).any():
         raise ValueError("density lattices need equal weights")
     units = lattice_units(w, step)
     if lattice_size(n, units, 2_000_000) > 2_000_000:
@@ -637,7 +637,7 @@ def _avar_taken(matrix: np.ndarray, weights: np.ndarray, alpha: float):
 
 def _avar_tail_density(f: RandomVariable, alpha: float) -> RandomVariable:
     """The maximising density: mass 1/alpha on the worst-outcome cells."""
-    weights = f.space.weight_array
+    weights = f.space.weights
     (order,), (taken,) = _avar_taken(f.array[None, :], weights, alpha)
     g = np.zeros(f.space.size)
     g[order] = taken / (alpha * weights[order])
@@ -652,7 +652,7 @@ def _expectation() -> ConvexFunctional:
     return ConvexFunctional(
         name="expectation",
         evaluate=integrate,
-        evaluate_rows=lambda space, m: m @ space.weight_array,
+        evaluate_rows=lambda space, m: m @ space.weights,
         known_conjugate=lambda g: 0.0 if float(np.max(np.abs(g.array - 1.0))) <= 1e-9 else math.inf,
         dual_witness=lambda f: RandomVariable.ones(f.space),
         cash_invariant=True,
@@ -663,7 +663,7 @@ def _neg_expectation() -> ConvexFunctional:
     return ConvexFunctional(
         name="neg-expectation",
         evaluate=lambda f: -integrate(f),
-        evaluate_rows=lambda space, m: -(m @ space.weight_array),
+        evaluate_rows=lambda space, m: -(m @ space.weights),
         known_conjugate=lambda g: 0.0 if float(np.max(np.abs(g.array + 1.0))) <= 1e-9 else math.inf,
         dual_witness=lambda f: RandomVariable.constant(f.space, -1.0),
     )
@@ -676,20 +676,20 @@ def _entropic(beta: float = 1.0) -> ConvexFunctional:
     def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
         x = beta * m
         top = np.max(x, axis=1)
-        return (top + np.log(np.exp(x - top[:, None]) @ space.weight_array)) / beta
+        return (top + np.log(np.exp(x - top[:, None]) @ space.weights)) / beta
 
     def known_conjugate(g: RandomVariable) -> float:
         if not _is_density(g):
             return math.inf
         arr = np.clip(g.array, 0.0, None)
         ent = np.where(arr > 0.0, arr * np.log(np.where(arr > 0.0, arr, 1.0)), 0.0)
-        return float(np.dot(g.space.weight_array, ent)) / beta
+        return float(np.dot(g.space.weights, ent)) / beta
 
     def dual_witness(f: RandomVariable) -> RandomVariable:
         x = beta * f.array
         x = x - np.max(x)
         expo = np.exp(x)
-        z = float(np.dot(f.space.weight_array, expo))
+        z = float(np.dot(f.space.weights, expo))
         return RandomVariable.from_values(f.space, expo / z)
 
     return ConvexFunctional(
@@ -706,7 +706,7 @@ def _avar(alpha: float = 0.5) -> ConvexFunctional:
         raise ValueError("alpha must lie in (0, 1]")
 
     def evaluate_rows(space: ProbabilitySpace, m: np.ndarray) -> np.ndarray:
-        order, taken = _avar_taken(m, space.weight_array, alpha)
+        order, taken = _avar_taken(m, space.weights, alpha)
         return np.einsum("ij,ij->i", taken, m[np.arange(m.shape[0])[:, None], order]) / alpha
 
     def known_conjugate(g: RandomVariable) -> float:
@@ -752,7 +752,7 @@ def _supnorm_ball(open_ball: bool, radius: float = 1.0) -> ConvexFunctional:
 
     def known_conjugate(g: RandomVariable) -> float:
         # support function of the (closed) ball; the open ball has the same conjugate
-        return radius * float(np.dot(g.space.weight_array, np.abs(g.array)))
+        return radius * float(np.dot(g.space.weights, np.abs(g.array)))
 
     return ConvexFunctional(
         name=("open-ball" if open_ball else "supnorm-ball") + f"(radius={radius:g})",

@@ -52,8 +52,8 @@ __all__ = [
 _AE_TOL = 1e-9
 # L1 norm above which an element breaks the norm-boundedness hypothesis of the lsc check
 _NORM_BOUND = 1e6
-# the shortest and the longest horizon check_bounded_uo_lsc takes: its
-# work grows with the square of the horizon
+# the shortest and the longest horizon the checks below take: the lsc
+# check's work grows with the square of the horizon
 MIN_N_MAX = 16
 MAX_N_MAX = 4_096
 
@@ -185,6 +185,11 @@ class LscReport:
         return self.verdict == "violated"
 
 
+def _check_n_max(n_max: int) -> None:
+    if not MIN_N_MAX <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must lie in [{MIN_N_MAX}, {MAX_N_MAX}]")
+
+
 def check_bounded_uo_lsc(
     rho: ConvexFunctional,
     s: TestSequence,
@@ -199,8 +204,7 @@ def check_bounded_uo_lsc(
     1e6, otherwise the boundedness hypothesis fails (NotNormBounded) and
     the comparison would be meaningless.
     """
-    if not MIN_N_MAX <= n_max <= MAX_N_MAX:
-        raise ValueError(f"n_max must lie in [{MIN_N_MAX}, {MAX_N_MAX}]")
+    _check_n_max(n_max)
     check_tol(tol)
     if s.declared_limit is None:
         raise NotConvergent(f"sequence {s.name!r} has no declared limit")
@@ -253,6 +257,7 @@ def extract_ae_subsequence(
     everywhere convergence; the verdict re-checks it cell by cell, where
     a distance above 1e-9 counts as a visit.
     """
+    _check_n_max(n_max)
     if limit is None:
         limit = s.declared_limit
     if limit is None:
@@ -273,7 +278,7 @@ def extract_ae_subsequence(
         space, lim, weight = refined[f.space.level]
         if f.space != space:
             f = refine(f, space.level)
-        return math.fsum((np.abs(f.array - lim) * weight * space.weight_array).tolist())
+        return math.fsum((np.abs(f.array - lim) * weight * space.weights).tolist())
 
     indices: list[int] = []
     certificates: list[float] = []
@@ -300,13 +305,9 @@ def extract_ae_subsequence(
         chosen.append(f)
         k += 1
 
-    level = max(
-        [limit.space.level or 0] + [f.space.level or 0 for f in chosen]
-    )
+    level = max([limit.space.level or 0] + [f.space.level or 0 for f in chosen])
     lim_fine = refine(limit, level) if limit.space.level is not None else limit
-    diffs = np.array(
-        [np.abs(refine(f, level).array - lim_fine.array) for f in chosen]
-    )
+    diffs = np.array([np.abs(refine(f, level).array - lim_fine.array) for f in chosen])
     half = len(indices) // 2
     tail_rows = diffs[half:]
     violations = (tail_rows > _AE_TOL).sum(axis=0)
@@ -336,6 +337,7 @@ def verify_norm_bounded(
     last quarter of the horizon (beyond bisection noise) suggests the
     sequence is not norm bounded under this Orlicz function.
     """
+    _check_n_max(n_max)
     norms = [luxemburg_norm(s.element(n), phi, tol).value for n in range(1, n_max + 1)]
     running = np.maximum.accumulate(norms)
     q = max(1, n_max // 4)

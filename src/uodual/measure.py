@@ -6,7 +6,7 @@ variable replicates cell values across subcells, so integrals are
 preserved exactly.  General weighted spaces are supported but cannot be
 refined.  All types are immutable and all operations are pure.
 
-A random variable holds its values as one read-only float64 array, so
+A space's weights and a variable's values are read-only float64 arrays, so
 refinement and the pointwise operations are single numpy calls; integrals
 and pairings stay exact by compensated summation of the elementwise
 products.  Dyadic spaces are built and validated once per level and then
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 # dyadic spaces kept alive by ProbabilitySpace.dyadic; a level-13 space
-# (8,192 labels) takes under 1 MB
+# holds 8,192 weights, 64 KB
 _DYADIC_CACHE = 32
 
 
@@ -54,35 +54,35 @@ def check_tol(tol: float, positive: bool = False) -> None:
         raise ValueError(f"tol must be {'>' if positive else '>='} 0, got {tol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilitySpace:
     """Finite weighted sample space.
 
-    ``points`` are ordered labels and ``weights`` the strictly positive
-    probabilities per point (summing to one within 1e-12).  ``level`` is
-    set only for dyadic discretisations of [0, 1], which must consist of
-    exactly ``2**level`` cells of weight ``2**-level``.
+    ``weights`` is a read-only float64 copy of the probabilities given, one
+    per point, finite, > 0 and summing to one within 1e-12; spaces with equal
+    weights and ``level`` are equal.  ``level`` is set only for dyadic
+    discretisations of [0, 1]: exactly ``2**level`` cells of weight ``2**-level``.
     """
 
-    points: tuple[str, ...]
-    weights: tuple[float, ...]
+    weights: np.ndarray
     level: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.points or len(self.points) != len(self.weights):
-            raise ValueError("points and weights must be nonempty and equal-length")
-        for w in self.weights:
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"weights must be finite and > 0, got {w}")
-        total = math.fsum(self.weights)
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or not w.size:
+            raise ValueError("weights must be a nonempty sequence of reals")
+        bad = ~(np.isfinite(w) & (w > 0.0))
+        if bad.any():
+            raise ValueError(f"weights must be finite and > 0, got {w[bad][0]}")
+        total = math.fsum(w)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within 1e-12")
         if self.level is not None:
-            n, w = 2**self.level, 2.0**-self.level
-            if len(self.points) != n or any(wi != w for wi in self.weights):
-                raise ValueError(
-                    f"dyadic space at level {self.level} needs {n} cells of weight {w}"
-                )
+            n, cell = 2**self.level, 2.0**-self.level
+            if w.size != n or (w != cell).any():
+                raise ValueError(f"dyadic space at level {self.level} needs {n} cells of weight {cell}")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def dyadic(cls, level: int) -> ProbabilitySpace:
@@ -91,29 +91,30 @@ class ProbabilitySpace:
 
     @classmethod
     def uniform(cls, n: int) -> ProbabilitySpace:
-        """n equally likely points (not refinable unless n is dyadic-labelled)."""
+        """n equally likely points (not refinable: no dyadic level)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return cls(tuple(f"p{i}" for i in range(n)), (1.0 / n,) * n)
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.weights.size
 
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        arr = np.asarray(self.weights, dtype=float)
-        arr.flags.writeable = False
-        return arr
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProbabilitySpace):
+            return NotImplemented
+        return self is other or (self.level == other.level and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self) -> int:
+        # weights are > 0, so equal arrays have equal bytes
+        return hash((self.level, self.weights.tobytes()))
 
 
 @lru_cache(maxsize=_DYADIC_CACHE)
 def _dyadic(level: int) -> ProbabilitySpace:
     if level < 0:
         raise ValueError("level must be >= 0")
-    n = 2**level
-    labels = tuple(f"[{j}/{n},{j + 1}/{n})" for j in range(n))
-    return ProbabilitySpace(labels, (2.0**-level,) * n, level)
+    return ProbabilitySpace(np.full(2**level, 2.0**-level), level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +193,7 @@ def integrate(f: RandomVariable) -> float:
     Computed with compensated summation so the result does not depend on
     incidental evaluation order and refinement preserves it exactly.
     """
-    return math.fsum((f.array * f.space.weight_array).tolist())
+    return math.fsum((f.array * f.space.weights).tolist())
 
 
 def refine(f: RandomVariable, level: int) -> RandomVariable:
@@ -214,12 +215,10 @@ def common_refinement(f: RandomVariable, g: RandomVariable) -> tuple[RandomVaria
     if f.space.level is not None and g.space.level is not None:
         level = max(f.space.level, g.space.level)
         return refine(f, level), refine(g, level)
-    raise IncompatibleSpaces(
-        "variables live on different spaces and at least one is not dyadic"
-    )
+    raise IncompatibleSpaces("variables live on different spaces and at least one is not dyadic")
 
 
 def pairing(f: RandomVariable, g: RandomVariable) -> float:
     """The bilinear duality pairing: the integral of the product f*g."""
     f, g = common_refinement(f, g)
-    return math.fsum((f.array * g.array * f.space.weight_array).tolist())
+    return math.fsum((f.array * g.array * f.space.weights).tolist())

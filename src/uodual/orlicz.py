@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,24 +51,33 @@ class ModularDegenerate(RuntimeError):
     """The modular never straddles 1 over the probed scale range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrliczFunction:
     """Convex nondecreasing function with phi(0) = 0.
 
     Three kinds: ``power`` (scale * s**p), ``exp`` (exp(rate*s) - 1), and
     ``sampled`` (linear interpolation on a strictly increasing grid, linear
-    extrapolation beyond the last knot).  ``domain_cap`` marks the largest
-    argument with a trusted value; sampled functions are extrapolated but
-    not trusted beyond it.
+    extrapolation beyond the last knot), whose knots ``grid_s`` and
+    ``grid_y`` are read-only float64 arrays; equality goes by value.
+    ``domain_cap`` marks the largest argument with a trusted value; sampled
+    functions are extrapolated but not trusted beyond it.
     """
 
     kind: str
     p: float = 1.0
     scale: float = 1.0
     rate: float = 1.0
-    grid_s: tuple[float, ...] | None = None
-    grid_y: tuple[float, ...] | None = None
+    grid_s: np.ndarray | None = None
+    grid_y: np.ndarray | None = None
     domain_cap: float = math.inf
+
+    def __post_init__(self) -> None:
+        for name in ("grid_s", "grid_y"):
+            knots = getattr(self, name)
+            if knots is not None:
+                knots = np.array(knots, dtype=float)
+                knots.flags.writeable = False
+                object.__setattr__(self, name, knots)
 
     @classmethod
     def power(cls, p: float, scale: float = 1.0) -> OrliczFunction:
@@ -87,37 +95,19 @@ class OrliczFunction:
         return cls("exp", rate=float(rate), domain_cap=700.0 / rate)
 
     @classmethod
-    def sampled(
-        cls,
-        grid_s,
-        grid_y,
-        domain_cap: float | None = None,
-    ) -> OrliczFunction:
-        s = tuple(float(v) for v in grid_s)
-        y = tuple(float(v) for v in grid_y)
-        if len(s) != len(y) or len(s) < 2:
+    def sampled(cls, grid_s, grid_y, domain_cap: float | None = None) -> OrliczFunction:
+        s = np.array(grid_s, dtype=float)
+        y = np.array(grid_y, dtype=float)
+        if s.ndim != 1 or s.shape != y.shape or s.size < 2:
             raise ValueError("sampled grid needs at least two matching knots")
-        if any(b <= a for a, b in zip(s, s[1:])):
+        for name, knots in (("abscissae", s), ("values", y)):
+            if not np.isfinite(knots).all():
+                raise ValueError(f"sample {name} must be finite (no NaN or infinity)")
+        if not (np.diff(s) > 0.0).all():
             raise ValueError("sample abscissae must be strictly increasing")
-        fn = cls(
-            "sampled",
-            grid_s=s,
-            grid_y=y,
-            domain_cap=float(domain_cap) if domain_cap is not None else s[-1],
-        )
-        fn._validate_grid()
-        return fn
-
-    @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """``grid_s`` and ``grid_y`` of a sampled function as read-only arrays."""
-        s = np.array(self.grid_s, dtype=float)
-        y = np.array(self.grid_y, dtype=float)
-        s.flags.writeable = y.flags.writeable = False
-        return s, y
-
-    def _validate_grid(self) -> None:
-        s, y = self._knots
+        cap = float(s[-1]) if domain_cap is None else float(domain_cap)
+        if not cap >= 0.0:
+            raise ValueError(f"domain_cap must be >= 0, got {cap!r}")
         if s[0] != 0.0 or abs(y[0]) > 1e-12:
             raise ValueError("sampled Orlicz function must start at phi(0) = 0")
         if np.any(np.diff(y) < -1e-12 * max(1.0, float(np.max(np.abs(y))))):
@@ -129,27 +119,36 @@ class OrliczFunction:
         scale = np.maximum(1.0, np.abs(y[1:-1]))
         if np.any(np.diff(slopes) * np.diff(s)[:-1] < -_CONVEXITY_TOL * scale):
             raise ValueError("sampled values violate convexity on the grid")
+        return cls("sampled", grid_s=s, grid_y=y, domain_cap=cap)
+
+    def _key(self) -> tuple:
+        knots = (None if k is None else tuple(k.tolist()) for k in (self.grid_s, self.grid_y))
+        return (self.kind, self.p, self.scale, self.rate, self.domain_cap, *knots)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrliczFunction):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __call__(self, s):
         """Evaluate at s >= 0 (scalar or array); negative inputs are clipped to 0."""
-        arr = np.asarray(s, dtype=float)
-        arr = np.maximum(arr, 0.0)
+        arr = np.maximum(np.asarray(s, dtype=float), 0.0)
         if self.kind == "power":
             out = self.scale * arr**self.p
         elif self.kind == "exp":
             with np.errstate(over="ignore"):
                 out = np.expm1(self.rate * arr)
         elif self.kind == "sampled":
-            gs, gy = self._knots
+            gs, gy = self.grid_s, self.grid_y
             out = np.interp(arr, gs, gy)
             # np.interp clamps; extend the last segment linearly instead
             last_slope = (gy[-1] - gy[-2]) / (gs[-1] - gs[-2])
             beyond = arr > gs[-1]
-            if np.any(beyond):
-                if last_slope == 0.0:  # avoid 0 * inf on overflowing arguments
-                    extended = np.full_like(out, gy[-1])
-                else:
-                    extended = gy[-1] + last_slope * (arr - gs[-1])
+            if np.any(beyond):  # a zero slope is kept off overflowing arguments: 0 * inf is NaN
+                extended = gy[-1] + last_slope * (arr - gs[-1]) if last_slope else np.full_like(out, gy[-1])
                 out = np.where(beyond, extended, out)
         else:  # pragma: no cover - kinds are fixed by the constructors
             raise ValueError(f"unknown kind {self.kind!r}")
@@ -311,7 +310,7 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
     """
     check_tol(tol, positive=True)
     abs_values = np.abs(f.array)
-    weights = f.space.weight_array
+    weights = f.space.weights
     if not np.any(abs_values > 0.0):
         return LuxemburgResult(0.0, (0.0, 0.0), 0.0)
 

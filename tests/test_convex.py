@@ -40,7 +40,7 @@ ZOO = [
     ("supnorm-ball", {"radius": 1.0}),
     ("open-ball", {"radius": 1.0}),
 ]
-SPACES = [SP1, ProbabilitySpace.dyadic(1), SP4, ProbabilitySpace(("a", "b", "c"), (0.5, 0.3, 0.2))]
+SPACES = [SP1, ProbabilitySpace.dyadic(1), SP4, ProbabilitySpace((0.5, 0.3, 0.2))]
 
 
 def reference_value(name, params, f):
@@ -84,7 +84,7 @@ def zoo_batches(draw):
 def dense_grid_conjugate(rho, g, bound=6.0, step=0.25):
     """Independent oracle: brute-force sup over a full coordinate lattice."""
     axis = np.arange(-bound, bound + step / 2, step)
-    w = g.space.weight_array
+    w = g.space.weights
     best = -math.inf
     grids = np.meshgrid(*([axis] * g.space.size), indexing="ij")
     points = np.stack([a.ravel() for a in grids], axis=1)
@@ -193,7 +193,7 @@ class TestFenchelConjugate:
         rng = np.random.default_rng(3)
         for _ in range(5):
             raw = rng.uniform(0.05, 2.0, 4)
-            dens = raw / float(np.dot(SP4.weight_array, raw))
+            dens = raw / float(np.dot(SP4.weights, raw))
             g = rv(dens)
             cv = fenchel_conjugate(rho, g)
             assert not cv.possibly_infinite
@@ -311,7 +311,7 @@ class TestBiconjugate:
         rho = ConvexFunctional("quadratic", evaluate=lambda f: 0.5 * pairing(f, f))
         axis = np.arange(-4.0, 4.0 + 0.125, 0.25)
         matrix = np.stack([a.ravel() for a in np.meshgrid(*([axis] * 4), indexing="ij")], axis=1)
-        values = 0.5 * (matrix**2 @ SP4.weight_array)
+        values = 0.5 * (matrix**2 @ SP4.weights)
         field = ConjugateField(SP4, matrix, values, np.isinf(values))
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -427,7 +427,7 @@ class TestBatchedEvaluation:
         assert calls == [tuple(matrix[0]), tuple(matrix[1])]
 
     def test_batched_only_functional_derives_evaluate(self):
-        rho = ConvexFunctional("mean", evaluate_rows=lambda space, m: m @ space.weight_array)
+        rho = ConvexFunctional("mean", evaluate_rows=lambda space, m: m @ space.weights)
         assert rho.evaluate(rv([1.0, 2.0, 0.0, -1.0])) == 0.5
         with pytest.raises(ValueError, match="evaluate"):
             ConvexFunctional("no-oracle")
@@ -854,7 +854,7 @@ class TestFenchelYoung:
         gs = []
         for _ in range(8):
             raw = rng.uniform(0.05, 2.0, 4)
-            gs.append(rv(raw / float(np.dot(SP4.weight_array, raw))))
+            gs.append(rv(raw / float(np.dot(SP4.weights, raw))))
         field = ConjugateField.compute(rho, gs)
         for i, g in enumerate(gs):
             for _ in range(25):

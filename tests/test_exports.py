@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -18,6 +19,7 @@ DELETED = {
         "_SWEEP_TOL",
         "_BATCH_POINTS",
         "_lockstep",
+        "ConjugateValue.argmax",
     ),
     "uodual.fatou": ("TestSequence.ae_convergent", "LscReport.to_dict"),
     "uodual.lattice": (
@@ -29,7 +31,9 @@ DELETED = {
         "_block",
         "_require_members",
     ),
+    "uodual.measure": ("ProbabilitySpace.points", "ProbabilitySpace.weight_array"),
     "uodual.orlicz": (
+        "OrliczFunction._knots",
         "delta2_report",
         "Delta2Report",
         "ZeroDenominator",
@@ -41,12 +45,25 @@ DELETED = {
 
 
 def _resolves(module, dotted: str) -> bool:
+    """Whether the dotted name is an attribute or a dataclass field.
+
+    A frozen dataclass field without a default is no class attribute, so
+    ``hasattr`` alone does not see it.
+    """
     obj = module
-    for part in dotted.split("."):
+    *path, last = dotted.split(".")
+    for part in path:
         if not hasattr(obj, part):
             return False
         obj = getattr(obj, part)
-    return True
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    return hasattr(obj, last) or last in fields
+
+
+def test_resolves_sees_fields_without_defaults():
+    convex = importlib.import_module("uodual.convex")
+    assert not hasattr(convex.ConjugateValue, "value")
+    assert _resolves(convex, "ConjugateValue.value")
 
 
 @pytest.mark.parametrize("name", MODULES)

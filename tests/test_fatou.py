@@ -245,6 +245,13 @@ class TestExtraction:
         with pytest.raises(NotConvergent):
             extract_ae_subsequence(generate("typewriter"), None, None, 32)
 
+    def test_n_max_validated(self):
+        # n_max = 0 failed inside numpy, and a spike horizon of 4,097 built
+        # every element before it stalled
+        for n_max in (0, 4097):
+            with pytest.raises(ValueError, match="n_max must lie in"):
+                extract_ae_subsequence(generate("spike"), None, ZERO, n_max)
+
     def test_weighting_changes_certificates(self):
         # weight concentrated off the blocks shrinks the certificates
         w = RandomVariable.from_values(ProbabilitySpace.dyadic(1), [0.5, 1.5])
@@ -291,6 +298,12 @@ class TestLiminfEstimate:
 
 
 class TestVerifyNormBounded:
+    def test_n_max_validated(self):
+        # n_max = 0 raised a bare IndexError, and 4,097 ran to the end
+        for n_max in (0, 4097):
+            with pytest.raises(ValueError, match="n_max must lie in"):
+                verify_norm_bounded(generate("constant", ZERO), OrliczFunction.power(2), n_max)
+
     def test_spike_is_l1_bounded_with_bound_one(self):
         rep = verify_norm_bounded(generate("spike"), OrliczFunction.power(1), 48, tol=1e-8)
         assert rep.verdict == "bounded"

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -34,15 +37,43 @@ class TestProbabilitySpace:
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            ProbabilitySpace(("a", "b"), (0.5, 0.6))
+            ProbabilitySpace((0.5, 0.6))
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="> 0"):
-            ProbabilitySpace(("a", "b"), (1.0, 0.0))
+            ProbabilitySpace((1.0, 0.0))
 
-    def test_dyadic_label_mismatch_rejected(self):
+    def test_dyadic_cell_count_checked(self):
         with pytest.raises(ValueError, match="dyadic"):
-            ProbabilitySpace(("a", "b", "c"), (1 / 3,) * 3, level=1)
+            ProbabilitySpace((1 / 3,) * 3, level=1)
+
+    def test_weights_are_one_read_only_array(self):
+        sp = ProbabilitySpace((0.2, 0.3, 0.5))
+        assert [f.name for f in dataclasses.fields(sp)] == ["weights", "level"]
+        assert sp.weights.dtype == np.float64 and sp.weights.shape == (3,)
+        with pytest.raises(ValueError):
+            sp.weights[0] = 0.5
+
+    def test_equality_and_hash_by_value(self):
+        a, b = ProbabilitySpace.uniform(3), ProbabilitySpace.uniform(3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert ProbabilitySpace.uniform(4) != ProbabilitySpace.dyadic(2)
+        assert ProbabilitySpace((0.25, 0.75)) != ProbabilitySpace((0.75, 0.25))
+
+    def test_dyadic_levels_allocate_only_their_weights(self):
+        # levels 0-12 hold 8,191 weights, 64 KB; a string label per cell
+        # would add about 0.6 MB
+        code = (
+            "import tracemalloc\n"
+            "from uodual.measure import ProbabilitySpace\n"
+            "tracemalloc.start()\n"
+            "spaces = [ProbabilitySpace.dyadic(level) for level in range(13)]\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+        assert int(out.stdout) <= 200_000
 
     def test_dyadic_spaces_are_shared(self):
         assert ProbabilitySpace.dyadic(5) is ProbabilitySpace.dyadic(5)
@@ -118,11 +149,11 @@ class TestRandomVariable:
 
 class TestIntegrate:
     def test_zero_function(self):
-        sp = ProbabilitySpace(("a", "b", "c"), (0.2, 0.3, 0.5))
+        sp = ProbabilitySpace((0.2, 0.3, 0.5))
         assert integrate(RandomVariable.zero(sp)) == 0.0
 
     def test_total_mass(self):
-        sp = ProbabilitySpace(("a", "b", "c"), (0.2, 0.3, 0.5))
+        sp = ProbabilitySpace((0.2, 0.3, 0.5))
         assert integrate(RandomVariable.ones(sp)) == pytest.approx(1.0, abs=1e-15)
 
     def test_spike_has_unit_mass(self):

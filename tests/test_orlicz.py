@@ -97,6 +97,20 @@ class TestOrliczFunction:
         with pytest.raises(ValueError, match="identically 0"):
             OrliczFunction.sampled([0, 1, 2], [0, 0, 0])
 
+    def test_sampled_rejects_non_finite_input(self):
+        # each was accepted: with a NaN knot phi(1.5) was NaN, and the
+        # Luxemburg norm came back as inf instead of an error
+        cases = [
+            ([0, 1, math.nan], [0, 1, 3], None, "abscissae"),
+            ([0, 1, 2], [0, math.nan, 3], None, "values"),
+            ([0, 1, 2], [0, 1, math.inf], None, "values"),
+            ([0, 1, 2], [0, 1, 3], math.nan, "domain_cap"),
+            ([0, 1, 2], [0, 1, 3], -1.0, "domain_cap"),
+        ]
+        for grid_s, grid_y, cap, name in cases:
+            with pytest.raises(ValueError, match=name):
+                OrliczFunction.sampled(grid_s, grid_y, domain_cap=cap)
+
     def test_sampled_evaluation_reads_cached_knots_bit_for_bit(self):
         def reference(phi, s):
             # the evaluation as it read its knots before: fresh arrays per call
@@ -122,8 +136,9 @@ class TestOrliczFunction:
             assert phi(probes).tobytes() == reference(phi, probes).tobytes()
             for t in probes[:20].tolist():
                 assert phi(t) == float(reference(phi, t))
-        gs, gy = psi._knots
+        gs, gy = psi.grid_s, psi.grid_y
         assert not gs.flags.writeable and not gy.flags.writeable
+        assert gs.dtype == gy.dtype == np.float64
         again = OrliczFunction.sampled(psi.grid_s, psi.grid_y, domain_cap=psi.domain_cap)
         assert again == psi and hash(again) == hash(psi)
 
