@@ -2,13 +2,14 @@
 
 An Orlicz function is convex, nondecreasing, vanishes at 0 and is not
 identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
-is computed on a truncated s-range.  Its grid maximum comes from the
-lower convex hull of the samples of phi and one ``searchsorted`` of t
-into the hull slopes (linear in the grid size), and is then refined by
-the section search of ``convex`` (the objective is concave in s, so each
-row stops once concavity certifies its value).  The Luxemburg norm
-``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
-doubling/halving and then bisected; the upper bracket endpoint is
+is computed in one pass on a truncated s-range, where the samples of phi
+must be convex.  Its grid maximum comes from the lower convex hull of
+those samples and one ``searchsorted`` of t into the hull slopes (linear
+in the grid size), and is then refined by the section search of
+``convex`` (the objective is concave in s, so each row stops once
+concavity certifies its value, and no second grid is needed).  The
+Luxemburg norm ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed
+by doubling/halving and then bisected; the upper bracket endpoint is
 returned, a conservative over-estimate of the infimum.
 """
 
@@ -40,7 +41,7 @@ MAX_GRID_SIZE = 65_536
 
 
 class GridTooCoarse(RuntimeError):
-    """Grid refinement moved a conjugate value psi by more than ``tol * (1 + |psi|)``."""
+    """The conjugate's t grid resolves nothing: its range is too narrow for its knots, or psi is 0 on it."""
 
 
 class DomainExceeded(ValueError):
@@ -49,6 +50,15 @@ class DomainExceeded(ValueError):
 
 class ModularDegenerate(RuntimeError):
     """The modular never straddles 1 over the probed scale range."""
+
+
+def _check_convex(s: np.ndarray, y: np.ndarray, tol: float) -> None:
+    """Raise ValueError at the first inner knot s where the slope change of the samples y, times the
+    step before s (on a uniform grid, the second difference), is below ``-tol * max(1, |y|)``."""
+    slopes = np.diff(y) / np.diff(s)
+    bent = np.diff(slopes) * np.diff(s)[:-1] < -tol * np.maximum(1.0, np.abs(y[1:-1]))
+    if np.any(bent):
+        raise ValueError(f"sampled values violate convexity on the grid at s={s[1 + np.argmax(bent)]:.6g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +124,7 @@ class OrliczFunction:
             raise ValueError("sampled values must be nondecreasing")
         if np.max(y) <= 0.0:
             raise ValueError("Orlicz function must not be identically 0")
-        # midpoint convexity on the grid: second differences of the slopes
-        slopes = np.diff(y) / np.diff(s)
-        scale = np.maximum(1.0, np.abs(y[1:-1]))
-        if np.any(np.diff(slopes) * np.diff(s)[:-1] < -_CONVEXITY_TOL * scale):
-            raise ValueError("sampled values violate convexity on the grid")
+        _check_convex(s, y, _CONVEXITY_TOL)
         return cls("sampled", grid_s=s, grid_y=y, domain_cap=cap)
 
     def _key(self) -> tuple:
@@ -251,15 +257,16 @@ def conjugate(
 
     The supremum over all s >= 0 is truncated at ``s_max``; the returned
     sampled function is therefore trusted only for t up to roughly the
-    slope of phi at ``s_max`` (recorded as its domain cap).  Each value is
-    the grid maximum, read off the lower convex hull of the samples of phi
-    by one ``searchsorted`` of t into the hull slopes, then refined by a
-    section search that stops once concavity certifies the value.
-    Everything is recomputed on a doubled grid; if that moves any value
-    psi by more than ``tol * (1 + |psi|)`` the grid is too coarse and
-    GridTooCoarse is raised.  GridTooCoarse is also raised when psi is 0
-    on its whole range (phi linear, or too flat below ``s_max``), as when
-    the range is empty.
+    slope of phi at ``s_max`` (recorded as its domain cap).  One pass on
+    2 * grid_size + 1 knots of t and of s: each value is the grid maximum,
+    read off the lower convex hull of the samples of phi by one
+    ``searchsorted`` of t into the hull slopes, then refined by a section
+    search that stops once concavity certifies the value.  The certificate
+    needs phi convex on the s grid: ``tol`` bounds how far its samples may
+    bend, as second differences >= ``-tol * max(1, |phi|)``.  Refusals:
+    GridTooCoarse when [0, t_max] cannot hold the knots strictly increasing
+    (t_max <= 0 included) or psi is 0 on all of it (phi near linear up to
+    ``s_max``), and ValueError naming the first s where phi is not convex.
     """
     if not s_max > 0:
         raise ValueError("s_max must be > 0")
@@ -271,26 +278,18 @@ def conjugate(
     if not math.isfinite(slope):
         raise DomainExceeded(f"phi overflows before s_max={s_max:g}; lower s_max")
     t_max = 0.95 * slope
-    if t_max <= 0:
-        raise GridTooCoarse("phi is flat up to s_max; conjugate range is empty")
-    t_grid = np.linspace(0.0, t_max, grid_size + 1)
-    coarse = _conjugate_values(phi, t_grid, s_max, grid_size)
-    fine_t = np.linspace(0.0, t_max, 2 * grid_size + 1)
-    fine = _conjugate_values(phi, fine_t, s_max, 2 * grid_size)
-    # relative to the value, so that large but representable values can pass
-    drift = np.abs(fine[::2] - coarse)
-    allowed = tol * (1.0 + np.abs(fine[::2]))
-    if np.any(drift > allowed):
-        i = int(np.argmax(drift > allowed))
-        raise GridTooCoarse(
-            f"doubling the grid moved the conjugate value at t={t_grid[i]:.6g} by {drift[i]:.3e}"
-            f" > tol*(1+|psi|)={allowed[i]:.3e}"
-        )
-    if np.max(fine) <= 0.0:  # t_max is at most the slope of phi at 0
+    t_grid = np.linspace(0.0, t_max, 2 * grid_size + 1)
+    if not np.all(np.diff(t_grid) > 0.0):
+        raise GridTooCoarse(f"conjugate range [0, t_max={t_max:.6g}] is too narrow for grid_size={grid_size}")
+    s_grid = np.linspace(0.0, s_max, 2 * grid_size + 1)
+    _check_convex(s_grid, phi(s_grid), tol)
+    del s_grid  # freed before the search, which builds its own
+    values = _conjugate_values(phi, t_grid, s_max, 2 * grid_size)
+    if np.max(values) <= 0.0:  # t_max is at most the slope of phi at 0
         raise GridTooCoarse(
             f"conjugate is 0 on its whole range [0, {t_max:.6g}]: phi is near linear up to s_max={s_max:g}"
         )
-    return OrliczFunction.sampled(fine_t, fine, domain_cap=t_max)
+    return OrliczFunction.sampled(t_grid, values, domain_cap=t_max)
 
 
 def _modular(abs_values: np.ndarray, weights: np.ndarray, phi: OrliczFunction, lam: float) -> float:

@@ -351,6 +351,22 @@ class TestCliProcess:
         assert proc.returncode == 1
         assert "uodual: error: DomainExceeded" in proc.stderr
 
+    @pytest.mark.parametrize("scale", ["1e-322", "1e-323", "5e-324"])
+    def test_subnormal_conjugate_range_is_grid_too_coarse(self, scale, capsys):
+        # t_max is subnormal, so the knots of psi repeat; the knot check of
+        # psi used to refuse them as "abscissae must be strictly increasing"
+        assert main(["conjugate", "--phi", f"power:2:{scale}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("uodual: error: GridTooCoarse: conjugate range [0, t_max=")
+        assert "is too narrow for grid_size=512" in captured.err and captured.out == ""
+
+    def test_conjugate_tol_zero_matches_default(self, capsys):
+        assert main(["conjugate", "--phi", "power:1.01", "--tol", "0"]) == 0
+        at_zero = json.loads(capsys.readouterr().out)
+        assert main(["conjugate", "--phi", "power:1.01"]) == 0
+        assert at_zero["config"]["tol"] == 0.0
+        assert at_zero["results"] == json.loads(capsys.readouterr().out)["results"]
+
     def test_report_written_to_out(self, tmp_path):
         out = tmp_path / "report.json"
         proc = run_cli(["norm", "--values", "2", "--out", str(out)])

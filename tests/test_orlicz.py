@@ -268,21 +268,56 @@ class TestConjugate:
                 conjugate(OrliczFunction.power(2), s_max, 128)
 
     def test_tol_validated(self):
-        # with a NaN tol the drift check could never fire
+        # with a NaN tol the convexity check could never fire
         for tol in (math.nan, -1.0):
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 conjugate(OrliczFunction.power(2), 16.0, 64, tol=tol)
 
-    def test_unstable_sweep_reports_grid_too_coarse(self):
-        # a narrow dip (validation bypassed) placed on a fine-grid point
-        # that the coarse grid misses: refinement moves the sup
-        dip_at = 5.0 * 65 / 128
-        bumpy = unchecked(
-            [0, 1, dip_at - 1e-3, dip_at, dip_at + 1e-3, 4, 5],
-            [0, 0.5, 0.6, 0.05, 0.7, 0.8, 3.0],
-        )
-        with pytest.raises(GridTooCoarse):
-            conjugate(bumpy, 5.0, 64, tol=1e-6)
+    _BUMPY_DIP = 5.0 * 65 / 128
+
+    @pytest.mark.parametrize(
+        "grid_s, grid_y, bend, s_max, grid",
+        [
+            pytest.param(
+                [0, 1, _BUMPY_DIP - 1e-3, _BUMPY_DIP, _BUMPY_DIP + 1e-3, 4, 5],
+                [0, 0.5, 0.6, 0.05, 0.7, 0.8, 3.0], 1.0, 5.0, 64, id="bumpy",
+            ),
+            *(
+                pytest.param(s, y, bend, 3.0, grid, id=f"{name}-{grid}")
+                for name, s, y, bend in [
+                    ("kink", (0, 1, 2, 3), (0, 1, 1.2, 5), 1.0),
+                    ("dip", (0, 1, 1.5, 2, 3), (0, 1, 0.5, 2, 6), 1.0),
+                    ("wiggle", (0, 0.5, 1, 1.25, 1.5, 3), (0, 0.2, 0.5, 1.6, 1.7, 8), 1.25),
+                ]
+                for grid in (64, 100, 128)
+            ),
+        ],
+    )
+    def test_nonconvex_samples_are_refused(self, grid_s, grid_y, bend, s_max, grid):
+        # validation bypassed; kink and dip returned a psi, and wiggle was
+        # refused only by the knot check of psi or, at grid 128, as GridTooCoarse
+        with pytest.raises(ValueError, match="convexity on the grid at s=") as err:
+            conjugate(unchecked(grid_s, grid_y), s_max, grid, tol=1e-6)
+        assert abs(float(str(err.value).rpartition("=")[2]) - bend) <= s_max / grid
+
+    def test_tol_zero_returns_the_default_bits(self):
+        # tol bounds only the bend of the samples of phi, and these are convex
+        phi = OrliczFunction.power(1.5, 0.3)
+        psi, ref = conjugate(phi, 4.0, 64, tol=0), conjugate(phi, 4.0, 64)
+        assert psi.grid_s.tobytes() == ref.grid_s.tobytes() and psi.grid_y.tobytes() == ref.grid_y.tobytes()
+        assert psi.domain_cap == ref.domain_cap
+
+    def test_searches_once(self, monkeypatch):
+        search = orlicz._conjugate_values
+        grids = []
+
+        def counted(phi, t_grid, s_max, grid_size):
+            grids.append(grid_size)
+            return search(phi, t_grid, s_max, grid_size)
+
+        monkeypatch.setattr(orlicz, "_conjugate_values", counted)
+        psi = conjugate(OrliczFunction.power(2.0), 8.0, 256)
+        assert grids == [512] and psi.grid_s.size == 513
 
     @pytest.mark.parametrize("phi, s_max", [(OrliczFunction.power(1), 16.0), (OrliczFunction.exponential(0.5), 0.1)])
     def test_conjugate_zero_on_its_range_raises_grid_too_coarse(self, phi, s_max):
@@ -290,9 +325,17 @@ class TestConjugate:
         with pytest.raises(GridTooCoarse, match="0 on its whole range"):
             conjugate(phi, s_max, 64)
 
+    @pytest.mark.parametrize(
+        "phi", [OrliczFunction.power(2, 1e-322), unchecked([0, 1, 2], [0, 1, 1]), unchecked([0, 1, 2], [0, 1, 0.5])],
+        ids=["subnormal", "flat", "falling"],
+    )
+    def test_narrow_conjugate_range_raises_grid_too_coarse(self, phi):
+        # t_max is subnormal, 0 or negative: the knots of psi cannot strictly increase
+        with pytest.raises(GridTooCoarse, match="too narrow for grid_size=64"):
+            conjugate(phi, 2.0, 64)
+
     def test_grid_drift_is_relative_to_the_value(self):
-        # psi reaches about 1e219 here, and doubling the grid moved it by
-        # 2.7e205, which an absolute tol of 1e-6 refused as GridTooCoarse
+        # psi reaches about 1e219 here; its error is relative to the value
         psi = conjugate(OrliczFunction.exponential(0.5), 1000.0, 512)
         t = 0.5 * psi.domain_cap
         assert 1e216 < psi(t) < math.inf
