@@ -2,14 +2,14 @@
 
 An Orlicz function is convex, nondecreasing, vanishes at 0 and is not
 identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
-is computed in one pass on a truncated s-range, where the samples of phi
-must be convex.  Its grid maximum comes from the lower convex hull of
-those samples and one ``searchsorted`` of t into the hull slopes (linear
-in the grid size), and is then refined by the section search of
-``convex`` (the objective is concave in s, so each row stops once
-concavity certifies its value, and no second grid is needed).  The
-Luxemburg norm ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed
-by doubling/halving and then bisected; the upper bracket endpoint is
+is computed in one pass on a truncated s-range, where phi is sampled once
+and its samples must be convex.  Its grid maximum comes from one
+``searchsorted`` of t into the slopes of those samples (linear in the
+grid size), and is then refined by the section search of ``convex`` (the
+objective is concave in s, so each row stops once concavity certifies its
+value, and no second grid is needed).  The Luxemburg norm
+``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
+doubling/halving and then bisected; the upper bracket endpoint is
 returned, a conservative over-estimate of the infimum.
 """
 
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _CONVEXITY_TOL = 1e-9
+# the bend _check_convex allows per unit of |y| read: rounded samples of convex builtins bend by up to 1 eps
+_ROUNDING = 4 * math.ulp(1.0)
 # the coarsest and the finest grid conjugate takes: its arrays hold
 # 2 * grid_size + 1 floats, and grid 65,536 takes seconds
 MIN_GRID_SIZE = 64
@@ -52,13 +54,22 @@ class ModularDegenerate(RuntimeError):
     """The modular never straddles 1 over the probed scale range."""
 
 
-def _check_convex(s: np.ndarray, y: np.ndarray, tol: float) -> None:
-    """Raise ValueError at the first inner knot s where the slope change of the samples y, times the
-    step before s (on a uniform grid, the second difference), is below ``-tol * max(1, |y|)``."""
-    slopes = np.diff(y) / np.diff(s)
-    bent = np.diff(slopes) * np.diff(s)[:-1] < -tol * np.maximum(1.0, np.abs(y[1:-1]))
+def _check_convex(s: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """The slopes of the samples y between the knots s, once they are found convex.
+
+    Raise ValueError at the first inner knot s where the slope change, times
+    the step before s (on a uniform grid, the second difference), is below
+    ``-tol * max(1, |y|)`` less a rounding allowance: ``_ROUNDING`` (4 eps)
+    times the sum of the three |y| it reads.
+    """
+    steps = np.diff(s)
+    slopes = np.diff(y) / steps
+    mag = np.abs(y)
+    allowed = tol * np.maximum(1.0, mag[1:-1]) + _ROUNDING * (mag[:-2] + mag[1:-1] + mag[2:])
+    bent = np.diff(slopes) * steps[:-1] < -allowed
     if np.any(bent):
         raise ValueError(f"sampled values violate convexity on the grid at s={s[1 + np.argmax(bent)]:.6g}")
+    return slopes
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,42 +192,23 @@ class LuxemburgResult:
     modular_at_value: float
 
 
-def _lower_hull(x: list[float], y: list[float]) -> list[int]:
-    """Indices of the vertices of the lower convex hull of the points (x_k, y_k).
-
-    One monotone-chain pass over abscissae in increasing order; a point on
-    or above the chord of its neighbours is dropped, so the left end of a
-    collinear run stays a vertex.
-    """
-    hull: list[int] = []
-    for k, (xk, yk) in enumerate(zip(x, y)):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (y[j] - y[i]) * (xk - x[i]) < (yk - y[i]) * (x[j] - x[i]):
-                break
-            hull.pop()
-        hull.append(k)
-    return hull
-
-
-def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray):
+def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray, slopes: np.ndarray):
     """Per t, the index and value of the maximum of ``t*s_k - phi_s[k]`` over the grid.
 
-    The grid maximiser is the lower-hull vertex where the hull slopes
-    first reach t (Lucet's linear-time Legendre transform).  Each row is
-    evaluated as t*s_grid - phi_s over that vertex +-2 grid points,
-    widened to every vertex whose slope lies within rounding of t, so float
-    ties (collinear runs) settle on the first index, as an argmax over
-    every s_k would.
+    On convex samples the grid maximiser is the knot where the sample
+    ``slopes`` first reach t, found by one ``searchsorted`` of t into them
+    (Lucet's linear-time Legendre transform).  Each row is evaluated as
+    t*s_grid - phi_s over that knot +-2 grid points, widened to every knot
+    whose slope lies within rounding of t, so float ties (collinear runs)
+    settle on the first index, as an argmax over every s_k would.
     """
     grid_size, s_max = s_grid.size - 1, s_grid[-1]
-    hull = np.array(_lower_hull(s_grid.tolist(), phi_s.tolist()))
-    slopes = np.maximum.accumulate(np.diff(phi_s[hull]) / np.diff(s_grid[hull]))
+    slopes = np.maximum.accumulate(slopes)
     # slope band: t*s - phi rounds at about eps * (|phi| + |t| s_max), so a
     # slope nearer t than that over one grid step can hide a float tie
     tie = 1e-12 * (np.max(np.abs(phi_s)) + np.max(np.abs(t_grid)) * s_max) * grid_size / s_max
-    first = hull[np.searchsorted(slopes, t_grid - tie)]
-    last = hull[np.searchsorted(slopes, t_grid + tie, side="right")]
+    first = np.searchsorted(slopes, t_grid - tie)
+    last = np.searchsorted(slopes, t_grid + tie, side="right")
     window = np.clip(first[:, None] + np.arange(-2, 3), 0, grid_size)
     near = t_grid[:, None] * s_grid[window] - phi_s[window]
     pick = (np.arange(t_grid.size), np.argmax(near, axis=1))
@@ -230,11 +222,11 @@ def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray):
     return arg, grid_best
 
 
-def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int) -> np.ndarray:
+def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int, tol: float):
     s_grid = np.linspace(0.0, s_max, grid_size + 1)
     phi_s = np.asarray(phi(s_grid))
-    # a call of its own, so that its (t, window) blocks are freed before the search
-    arg, grid_best = _grid_maximum(t_grid, s_grid, phi_s)
+    # a call of its own, so that its slopes and (t, window) blocks are freed before the search
+    arg, grid_best = _grid_maximum(t_grid, s_grid, phi_s, _check_convex(s_grid, phi_s, tol))
 
     def objective(rows, s_vals: np.ndarray) -> np.ndarray:
         return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
@@ -258,12 +250,12 @@ def conjugate(
     The supremum over all s >= 0 is truncated at ``s_max``; the returned
     sampled function is therefore trusted only for t up to roughly the
     slope of phi at ``s_max`` (recorded as its domain cap).  One pass on
-    2 * grid_size + 1 knots of t and of s: each value is the grid maximum,
-    read off the lower convex hull of the samples of phi by one
-    ``searchsorted`` of t into the hull slopes, then refined by a section
-    search that stops once concavity certifies the value.  The certificate
-    needs phi convex on the s grid: ``tol`` bounds how far its samples may
-    bend, as second differences >= ``-tol * max(1, |phi|)``.  Refusals:
+    2 * grid_size + 1 knots of t and of s, where phi is sampled once: each
+    value is the grid maximum, read off by one ``searchsorted`` of t into
+    the slopes of the samples, then refined by a section search that stops
+    once concavity certifies the value.  Both need phi convex on the s grid:
+    ``tol`` bounds how far its samples may bend, as second differences
+    >= ``-tol * max(1, |phi|)`` less a rounding allowance.  Refusals:
     GridTooCoarse when [0, t_max] cannot hold the knots strictly increasing
     (t_max <= 0 included) or psi is 0 on all of it (phi near linear up to
     ``s_max``), and ValueError naming the first s where phi is not convex.
@@ -281,10 +273,7 @@ def conjugate(
     t_grid = np.linspace(0.0, t_max, 2 * grid_size + 1)
     if not np.all(np.diff(t_grid) > 0.0):
         raise GridTooCoarse(f"conjugate range [0, t_max={t_max:.6g}] is too narrow for grid_size={grid_size}")
-    s_grid = np.linspace(0.0, s_max, 2 * grid_size + 1)
-    _check_convex(s_grid, phi(s_grid), tol)
-    del s_grid  # freed before the search, which builds its own
-    values = _conjugate_values(phi, t_grid, s_max, 2 * grid_size)
+    values = _conjugate_values(phi, t_grid, s_max, 2 * grid_size, tol)
     if np.max(values) <= 0.0:  # t_max is at most the slope of phi at 0
         raise GridTooCoarse(
             f"conjugate is 0 on its whole range [0, {t_max:.6g}]: phi is near linear up to s_max={s_max:g}"

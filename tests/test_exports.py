@@ -40,6 +40,7 @@ DELETED = {
         "superlinear_growth",
         "GrowthReport",
         "young_gap",
+        "_lower_hull",
     ),
 }
 

@@ -30,14 +30,16 @@ def brute_conjugate(phi, t, s_max, n=1_000_000):
     return float(np.max(s * t - np.asarray(phi(s))))
 
 
-def _dense_conjugate_values(phi, t_grid, s_max, grid_size):
+def _dense_conjugate_values(phi, t_grid, s_max, grid_size, tol):
     """Reference for ``orlicz._conjugate_values``: the dense (t x s) sweep.
 
     Every row is read at every grid point, in chunks that bound memory; the
-    refinement after the grid maximum is the program's.
+    convexity check and the refinement after the grid maximum are the
+    program's.
     """
     s_grid = np.linspace(0.0, s_max, grid_size + 1)
     phi_s = np.asarray(phi(s_grid))
+    orlicz._check_convex(s_grid, phi_s, tol)
     arg = np.empty(t_grid.size, dtype=np.intp)
     grid_best = np.empty(t_grid.size)
     chunk = max(1, 8_000_000 // (grid_size + 1))
@@ -212,24 +214,29 @@ class TestConjugate:
     @settings(max_examples=60, deadline=None)
     @given(
         knots=st.lists(
-            st.tuples(st.floats(0.05, 3.0), st.floats(-5.0, 20.0)), min_size=1, max_size=10
+            st.tuples(st.floats(0.05, 3.0), st.integers(-8, 8)), min_size=1, max_size=10
         ),
         s_max=st.floats(0.5, 25.0),
         grid_size=st.integers(64, 400),
         t_range=st.tuples(st.floats(-4.0, 0.0), st.floats(0.0, 8.0)),
         t_count=st.integers(1, 300),
     )
-    def test_nonconvex_grid_maximum_matches_dense_sweep(self, knots, s_max, grid_size, t_range, t_count):
-        # validation bypassed: the samples of phi need not be convex or
-        # monotone, so the grid maximiser is a vertex of their lower hull
-        # and not the point where the sample slopes cross t
+    def test_convex_grid_maximum_matches_dense_sweep(self, knots, s_max, grid_size, t_range, t_count):
+        # validation bypassed: the samples are convex but may fall, and
+        # slopes drawn from few values give collinear runs that t meets
         s = np.concatenate([[0.0], np.cumsum([dx for dx, _ in knots])])
-        y = [0.0] + [v for _, v in knots]
-        phi = unchecked(s, y)
-        t_grid = np.linspace(*t_range, t_count)
-        got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size)
-        want = _dense_conjugate_values(phi, t_grid, s_max, grid_size)
+        slopes = np.sort([k for _, k in knots]) / 2.0
+        phi = unchecked(s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))]))
+        t_grid = np.sort(np.concatenate([np.linspace(*t_range, t_count), slopes]))
+        got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
+        want = _dense_conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
         assert got.tobytes() == want.tobytes()
+
+    def test_search_refuses_nonconvex_samples(self):
+        # the grid maximum reads the sample slopes, so the samples must be convex
+        phi = unchecked((0, 1, 1.5, 2, 3), (0, 1, 0.5, 2, 6))
+        with pytest.raises(ValueError, match="convexity on the grid at s="):
+            orlicz._conjugate_values(phi, np.linspace(-1.0, 5.0, 50), 3.0, 128, orlicz._CONVEXITY_TOL)
 
     def test_collinear_ties_settle_on_the_first_index(self):
         # t equal to the slope of a linear piece ties every grid point of
@@ -243,8 +250,8 @@ class TestConjugate:
             t_grid = np.unique(np.concatenate([slopes, slopes + 1e-15, np.linspace(0.0, slopes[-1] + 1, 40)]))
             grid_size = int(rng.integers(64, 600))
             s_max = float(s[-1] + rng.uniform(0.0, 3.0))
-            got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size)
-            want = _dense_conjugate_values(phi, t_grid, s_max, grid_size)
+            got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
+            want = _dense_conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
             assert got.tobytes() == want.tobytes()
 
     def test_memory_is_linear_in_the_grid(self):
@@ -296,9 +303,10 @@ class TestConjugate:
     def test_nonconvex_samples_are_refused(self, grid_s, grid_y, bend, s_max, grid):
         # validation bypassed; kink and dip returned a psi, and wiggle was
         # refused only by the knot check of psi or, at grid 128, as GridTooCoarse
-        with pytest.raises(ValueError, match="convexity on the grid at s=") as err:
-            conjugate(unchecked(grid_s, grid_y), s_max, grid, tol=1e-6)
-        assert abs(float(str(err.value).rpartition("=")[2]) - bend) <= s_max / grid
+        for tol in (1e-6, 0.0):
+            with pytest.raises(ValueError, match="convexity on the grid at s=") as err:
+                conjugate(unchecked(grid_s, grid_y), s_max, grid, tol=tol)
+            assert abs(float(str(err.value).rpartition("=")[2]) - bend) <= s_max / grid
 
     def test_tol_zero_returns_the_default_bits(self):
         # tol bounds only the bend of the samples of phi, and these are convex
@@ -308,22 +316,40 @@ class TestConjugate:
         assert psi.domain_cap == ref.domain_cap
 
     def test_searches_once(self, monkeypatch):
-        search = orlicz._conjugate_values
-        grids = []
+        search, evaluate = orlicz._conjugate_values, OrliczFunction.__call__
+        grids, shapes = [], []
 
-        def counted(phi, t_grid, s_max, grid_size):
+        def counted(phi, t_grid, s_max, grid_size, tol):
             grids.append(grid_size)
-            return search(phi, t_grid, s_max, grid_size)
+            return search(phi, t_grid, s_max, grid_size, tol)
+
+        def recorded(phi, s):
+            shapes.append(np.shape(s))
+            return evaluate(phi, s)
 
         monkeypatch.setattr(orlicz, "_conjugate_values", counted)
+        monkeypatch.setattr(OrliczFunction, "__call__", recorded)
         psi = conjugate(OrliczFunction.power(2.0), 8.0, 256)
         assert grids == [512] and psi.grid_s.size == 513
+        # phi is sampled once on the s grid, for the convexity check and the search alike
+        assert shapes.count((513,)) == 1
 
     @pytest.mark.parametrize("phi, s_max", [(OrliczFunction.power(1), 16.0), (OrliczFunction.exponential(0.5), 0.1)])
     def test_conjugate_zero_on_its_range_raises_grid_too_coarse(self, phi, s_max):
         # psi is 0 on all of [0, t_max], which OrliczFunction.sampled refused with a bare ValueError
         with pytest.raises(GridTooCoarse, match="0 on its whole range"):
             conjugate(phi, s_max, 64)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [OrliczFunction.power(1, 0.3), OrliczFunction.power(1, 3.7), OrliczFunction.exponential(1e-300)],
+        ids=["power-0.3", "power-3.7", "exp"],
+    )
+    def test_linear_phi_at_tol_zero_raises_grid_too_coarse(self, phi):
+        # the rounded samples dip below their chord by an ulp, which the
+        # convexity check allows for even at tol=0
+        with pytest.raises(GridTooCoarse, match="conjugate is 0 on its whole range"):
+            conjugate(phi, 16.0, 512, tol=0)
 
     @pytest.mark.parametrize(
         "phi", [OrliczFunction.power(2, 1e-322), unchecked([0, 1, 2], [0, 1, 1]), unchecked([0, 1, 2], [0, 1, 0.5])],
