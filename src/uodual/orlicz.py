@@ -3,11 +3,12 @@
 An Orlicz function is convex, nondecreasing, vanishes at 0 and is not
 identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
 is computed in one pass on a truncated s-range, where phi is sampled once
-and its samples must be convex.  Its grid maximum comes from one
-``searchsorted`` of t into the slopes of those samples (linear in the
-grid size), and is then refined by the section search of ``convex`` (the
-objective is concave in s, so each row stops once concavity certifies its
-value, and no second grid is needed).  The Luxemburg norm
+and its samples must be convex.  Its grid maximum lies where the running
+maximum of the sample slopes and their running minimum from the right
+reach t, found by one ``searchsorted`` each (linear in the grid size),
+and is then refined by the section search of ``convex`` (the objective
+is concave in s, so each row stops once concavity certifies its value,
+and no second grid is needed).  The Luxemburg norm
 ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
 doubling/halving and then bisected; the upper bracket endpoint is
 returned, a conservative over-estimate of the infimum.
@@ -57,16 +58,18 @@ class ModularDegenerate(RuntimeError):
 def _check_convex(s: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     """The slopes of the samples y between the knots s, once they are found convex.
 
-    Raise ValueError at the first inner knot s where the slope change, times
-    the step before s (on a uniform grid, the second difference), is below
-    ``-tol * max(1, |y|)`` less a rounding allowance: ``_ROUNDING`` (4 eps)
-    times the sum of the three |y| it reads.
+    Raise ValueError at the first inner knot s where the slope after s,
+    times the step before s, falls below the steepest slope before s times
+    that step by more than ``tol * max(1, |y|)`` plus a rounding allowance,
+    ``_ROUNDING`` (4 eps) times each of the three |y| it reads.  Measured
+    from the running maximum, not the previous slope, slow bends add up and
+    are refused once their sum passes that bound.
     """
     steps = np.diff(s)
     slopes = np.diff(y) / steps
-    mag = np.abs(y)
-    allowed = tol * np.maximum(1.0, mag[1:-1]) + _ROUNDING * (mag[:-2] + mag[1:-1] + mag[2:])
-    bent = np.diff(slopes) * steps[:-1] < -allowed
+    rounding = _ROUNDING * np.abs(y)  # scaled before the three are added, which could overflow
+    allowed = tol * np.maximum(1.0, np.abs(y[1:-1])) + rounding[:-2] + rounding[1:-1] + rounding[2:]
+    bent = (np.maximum.accumulate(slopes[:-1]) - slopes[1:]) * steps[:-1] > allowed
     if np.any(bent):
         raise ValueError(f"sampled values violate convexity on the grid at s={s[1 + np.argmax(bent)]:.6g}")
     return slopes
@@ -195,20 +198,22 @@ class LuxemburgResult:
 def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray, slopes: np.ndarray):
     """Per t, the index and value of the maximum of ``t*s_k - phi_s[k]`` over the grid.
 
-    On convex samples the grid maximiser is the knot where the sample
-    ``slopes`` first reach t, found by one ``searchsorted`` of t into them
-    (Lucet's linear-time Legendre transform).  Each row is evaluated as
-    t*s_grid - phi_s over that knot +-2 grid points, widened to every knot
-    whose slope lies within rounding of t, so float ties (collinear runs)
-    settle on the first index, as an argmax over every s_k would.
+    The row rises up to the knot where the running maximum of the sample
+    ``slopes`` first reaches t, and falls from the knot where their running
+    minimum from the right passes t; the grid maximiser lies between the
+    two, each found by one ``searchsorted`` of t.  On convex samples they
+    are one knot (Lucet's linear-time Legendre transform).  Each row is
+    evaluated as t*s_grid - phi_s over that knot +-2 grid points, widened
+    to every knot between the two or whose slope lies within rounding of t,
+    so float ties (collinear runs) settle on the first index, as an argmax
+    over every s_k would.
     """
     grid_size, s_max = s_grid.size - 1, s_grid[-1]
-    slopes = np.maximum.accumulate(slopes)
     # slope band: t*s - phi rounds at about eps * (|phi| + |t| s_max), so a
     # slope nearer t than that over one grid step can hide a float tie
     tie = 1e-12 * (np.max(np.abs(phi_s)) + np.max(np.abs(t_grid)) * s_max) * grid_size / s_max
-    first = np.searchsorted(slopes, t_grid - tie)
-    last = np.searchsorted(slopes, t_grid + tie, side="right")
+    first = np.searchsorted(np.maximum.accumulate(slopes), t_grid - tie)
+    last = np.searchsorted(np.minimum.accumulate(slopes[::-1])[::-1], t_grid + tie, side="right")
     window = np.clip(first[:, None] + np.arange(-2, 3), 0, grid_size)
     near = t_grid[:, None] * s_grid[window] - phi_s[window]
     pick = (np.arange(t_grid.size), np.argmax(near, axis=1))
@@ -225,7 +230,7 @@ def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray, slo
 def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int, tol: float):
     s_grid = np.linspace(0.0, s_max, grid_size + 1)
     phi_s = np.asarray(phi(s_grid))
-    # a call of its own, so that its slopes and (t, window) blocks are freed before the search
+    # a call of its own, so that its slope and (t, window) blocks are freed before the search
     arg, grid_best = _grid_maximum(t_grid, s_grid, phi_s, _check_convex(s_grid, phi_s, tol))
 
     def objective(rows, s_vals: np.ndarray) -> np.ndarray:
@@ -251,11 +256,12 @@ def conjugate(
     sampled function is therefore trusted only for t up to roughly the
     slope of phi at ``s_max`` (recorded as its domain cap).  One pass on
     2 * grid_size + 1 knots of t and of s, where phi is sampled once: each
-    value is the grid maximum, read off by one ``searchsorted`` of t into
-    the slopes of the samples, then refined by a section search that stops
-    once concavity certifies the value.  Both need phi convex on the s grid:
-    ``tol`` bounds how far its samples may bend, as second differences
-    >= ``-tol * max(1, |phi|)`` less a rounding allowance.  Refusals:
+    value is the grid maximum, read off by ``searchsorted`` of t into the
+    running extremes of the sample slopes, then refined by a section search
+    that stops once concavity certifies the value.  That needs phi convex
+    on the s grid: ``tol`` bounds how far its samples may bend, as the drop
+    of each slope below the steepest before it, times the grid step, of at
+    most ``tol * max(1, |phi|)`` plus a rounding allowance.  Refusals:
     GridTooCoarse when [0, t_max] cannot hold the knots strictly increasing
     (t_max <= 0 included) or psi is 0 on all of it (phi near linear up to
     ``s_max``), and ValueError naming the first s where phi is not convex.

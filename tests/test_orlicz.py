@@ -24,6 +24,20 @@ def unchecked(grid_s, grid_y):
     return OrliczFunction("sampled", grid_s=s, grid_y=y, domain_cap=s[-1])
 
 
+def slow_bend(c=0.9e-9, n=1000):
+    """Knots 0..n whose slopes start at 1 and each fall by c * y_k, then a steep last piece.
+
+    Every second difference is within ``c * y_k``, but the slopes fall by
+    about ``c * n**2 / 2`` in all.
+    """
+    y, slope = [0.0, 1.0], 1.0
+    for k in range(1, n - 1):
+        slope -= c * y[k]
+        y.append(y[k] + slope)
+    y.append(y[-1] + 10.0)
+    return np.arange(n + 1.0), np.array(y)
+
+
 def brute_conjugate(phi, t, s_max, n=1_000_000):
     """Independent oracle: plain sup of s*t - phi(s) over a dense s-grid."""
     s = np.linspace(0.0, s_max, n)
@@ -92,8 +106,16 @@ class TestOrliczFunction:
             OrliczFunction.sampled([0.5, 1], [0, 1])
 
     def test_sampled_rejects_nonconvex(self):
-        with pytest.raises(ValueError, match="convexity"):
-            OrliczFunction.sampled([0, 1, 2, 3], [0, 2, 3, 3.5])
+        cases = [
+            ([0, 1, 2, 3], [0, 2, 3, 3.5], 1),
+            # the rounding allowance is scaled before it is summed, which would overflow
+            ([0, 1, 2, 3, 4], [0, 1e307, 7e307, 1.2e308, 1.3e308], 2),
+            # no one bend is past 1e-9 * y, but the slopes fall 4.5e-4 in all
+            (*slow_bend(), 2),
+        ]
+        for grid_s, grid_y, bend in cases:
+            with pytest.raises(ValueError, match=f"convexity on the grid at s={bend}$"):
+                OrliczFunction.sampled(grid_s, grid_y)
 
     def test_sampled_rejects_identically_zero(self):
         with pytest.raises(ValueError, match="identically 0"):
@@ -231,6 +253,37 @@ class TestConjugate:
         got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
         want = _dense_conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        knots=st.lists(st.tuples(st.floats(0.05, 3.0), st.integers(-8, 8)), min_size=1, max_size=10),
+        grid_size=st.integers(64, 400),
+        t_range=st.tuples(st.floats(-4.0, 0.0), st.floats(0.0, 8.0)),
+    )
+    def test_nonconvex_grid_maximum_matches_dense_sweep(self, knots, grid_size, t_range):
+        # the samples need not be convex or monotone: the maximiser lies
+        # between where the slopes' running maximum and their running
+        # minimum from the right cross t, however far apart the two are
+        s = np.concatenate([[0.0], np.cumsum([dx for dx, _ in knots])])
+        s_grid = np.linspace(0.0, s[-1], grid_size + 1)
+        phi_s = np.interp(s_grid, s, [0.0] + [v / 2.0 for _, v in knots])
+        t_grid = np.linspace(*t_range, 200)
+        arg, best = orlicz._grid_maximum(t_grid, s_grid, phi_s, np.diff(phi_s) / np.diff(s_grid))
+        rows = t_grid[:, None] * s_grid - phi_s
+        assert arg.tobytes() == np.argmax(rows, axis=1).tobytes()
+        assert best.tobytes() == np.max(rows, axis=1).tobytes()
+
+    def test_slow_bend_within_tol_is_searched_to_the_dense_bits(self, monkeypatch):
+        # at the default tol these samples pass the convexity check, yet for
+        # t just below 1 the slopes' running maximum first reaches t at s=0
+        phi = unchecked(*slow_bend())
+        psi = conjugate(phi, 1000.0, 2000)
+        monkeypatch.setattr(orlicz, "_conjugate_values", _dense_conjugate_values)
+        ref = conjugate(phi, 1000.0, 2000)
+        assert psi.grid_y.tobytes() == ref.grid_y.tobytes()
+        near = np.flatnonzero((psi.grid_s > 0.999) & (psi.grid_s <= 1.0))
+        assert near.size and psi.grid_y[near[0]] > 0.02  # a search from s=0 reads about 0
+        assert abs(psi.grid_y[near[0]] - brute_conjugate(phi, psi.grid_s[near[0]], 1000.0)) <= 1e-5
 
     def test_search_refuses_nonconvex_samples(self):
         # the grid maximum reads the sample slopes, so the samples must be convex
