@@ -249,13 +249,13 @@ def extract_ae_subsequence(
     """Greedy extraction of a fast-converging subsequence, then an a.e. check.
 
     The certificate of index n is the integral of |f_n - limit| against the
-    strictly positive weight; position k demands a certificate at most
-    2**-k, and the smallest qualifying index after the previous pick is
-    taken.  If qualifying indices run out before the horizon is exhausted,
-    the weighted distances are not tending to 0 and ExtractionStalled is
-    raised.  Summability of the certificates is what forces almost
-    everywhere convergence; the verdict re-checks it cell by cell, where
-    a distance above 1e-9 counts as a visit.
+    strictly positive weight.  One pass over n = 1..n_max generates each
+    element once and picks n when its certificate is at most 2**-k, where
+    k - 1 indices are picked already.  If the last pick falls short of
+    the horizon, the weighted distances are not tending to 0 and
+    ExtractionStalled is raised.  Summability of the certificates is what
+    forces almost everywhere convergence; the verdict re-checks it cell
+    by cell, where a distance above 1e-9 counts as a visit.
     """
     _check_n_max(n_max)
     if limit is None:
@@ -283,27 +283,19 @@ def extract_ae_subsequence(
     indices: list[int] = []
     certificates: list[float] = []
     chosen: list[RandomVariable] = []
-    prev = 0
-    k = 1
-    while prev < n_max:
-        bound = 2.0**-k
-        pick = None
-        for n in range(prev + 1, n_max + 1):
-            f = s.element(n)
-            c = certificate(f)
-            if c <= bound:
-                pick = (n, c, f)
-                break
-        if pick is None:
-            raise ExtractionStalled(
-                f"no index in ({prev}, {n_max}] has certificate <= 2**-{k}; "
-                "the weighted distances do not tend to 0"
-            )
-        prev, cert, f = pick
-        indices.append(prev)
-        certificates.append(cert)
-        chosen.append(f)
-        k += 1
+    for n in range(1, n_max + 1):
+        f = s.element(n)
+        c = certificate(f)
+        if c <= 2.0 ** -(len(indices) + 1):
+            indices.append(n)
+            certificates.append(c)
+            chosen.append(f)
+    last = indices[-1] if indices else 0
+    if last < n_max:
+        raise ExtractionStalled(
+            f"no index in ({last}, {n_max}] has certificate <= 2**-{len(indices) + 1}; "
+            "the weighted distances do not tend to 0"
+        )
 
     level = max([limit.space.level or 0] + [f.space.level or 0 for f in chosen])
     lim_fine = refine(limit, level) if limit.space.level is not None else limit

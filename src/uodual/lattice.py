@@ -397,8 +397,8 @@ class VectorSequence:
     name: str = "custom"
 
     @classmethod
-    def from_generator(cls, gen, horizon: int, limit: TailVector | None = None, name: str = "custom") -> VectorSequence:
-        return cls(tuple(gen(n) for n in range(1, horizon + 1)), limit, name)
+    def from_generator(cls, gen, horizon: int, name: str = "custom") -> VectorSequence:
+        return cls(tuple(gen(n) for n in range(1, horizon + 1)), name=name)
 
     @property
     def horizon(self) -> int:

@@ -9,9 +9,11 @@ reach t, found by one ``searchsorted`` each (linear in the grid size),
 and is then refined by the section search of ``convex`` (the objective
 is concave in s, so each row stops once concavity certifies its value,
 and no second grid is needed).  The Luxemburg norm
-``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by
-doubling/halving and then bisected; the upper bracket endpoint is
-returned, a conservative over-estimate of the infimum.
+``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by one walk from
+sup|f| by factors of 2, which raises ModularDegenerate once it leaves the
+positive finite floats, and then bisected to width tol or to adjacent
+floats; the upper bracket endpoint is returned, a conservative
+over-estimate of the infimum.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class DomainExceeded(ValueError):
 
 
 class ModularDegenerate(RuntimeError):
-    """The modular never straddles 1 over the probed scale range."""
+    """The modular does not cross 1 at any positive finite scale the factor-2 walk reaches."""
 
 
 def _check_convex(s: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
@@ -298,9 +300,12 @@ def _modular(abs_values: np.ndarray, weights: np.ndarray, phi: OrliczFunction, l
 def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> LuxemburgResult:
     """Luxemburg norm of ``f``: the smallest scale lam with E[phi(|f|/lam)] <= 1.
 
-    The modular lam -> E[phi(|f|/lam)] is nonincreasing, so the norm is
-    bracketed by doubling/halving from sup|f| and then bisected to width
-    ``tol``.  The returned value is the upper bracket endpoint.
+    The modular lam -> E[phi(|f|/lam)] is nonincreasing, so one walk from
+    sup|f| doubles lam while the modular is above 1 and halves it while it
+    is at most 1, raising ModularDegenerate if lam reaches 0 or inf (about
+    2,100 steps at most).  Its last two scales are bisected to width
+    ``tol``, or to adjacent floats.  The returned value is the upper
+    bracket endpoint.
     """
     check_tol(tol, positive=True)
     abs_values = np.abs(f.array)
@@ -312,29 +317,23 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
     m = _modular(abs_values, weights, phi, lam)
     if m == 1.0:
         return LuxemburgResult(lam, (lam, lam), m)
-    if m > 1.0:
-        hi = lam
-        for _ in range(1200):
-            hi *= 2.0
-            if _modular(abs_values, weights, phi, hi) <= 1.0:
-                break
-        else:
-            raise ModularDegenerate("modular stays above 1 for all probed scales")
-        lo = hi / 2.0
-    else:
-        lo = lam
-        for _ in range(1200):
-            lo /= 2.0
-            if lo > 0.0 and _modular(abs_values, weights, phi, lo) > 1.0:
-                break
-        else:
+    factor = 2.0 if m > 1.0 else 0.5
+    prev = lam
+    while (m > 1.0) == (factor > 1.0):
+        prev, lam = lam, lam * factor
+        if not 0.0 < lam < math.inf:
             raise ModularDegenerate(
-                "modular is <= 1 for every probed scale; phi vanishes on the range of |f|/lam"
+                "modular stays above 1 for all probed scales"
+                if factor > 1.0
+                else "modular is <= 1 for every probed scale; phi vanishes on the range of |f|/lam"
             )
-        hi = lo * 2.0
+        m = _modular(abs_values, weights, phi, lam)
+    lo, hi = sorted((prev, lam))  # not lo and 2 * lo: halving a subnormal rounds
 
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi) if hi < 2.0**1023 else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if _modular(abs_values, weights, phi, mid) > 1.0:
             lo = mid
         else:

@@ -32,12 +32,12 @@ GOOD_FILE_VALUE = {int: (200, 200), float: (2, 2.0), str: ("x", "x")}
 BAD_FLAG_TEXT = {int: ["20.7", "true", "1e3"], float: ["true", "one", "inf"], str: []}
 
 
-def run_cli(args, tmp_path=None):
+def run_cli(args, timeout=300):
     proc = subprocess.run(
         [sys.executable, "-m", "uodual", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
     return proc
 
@@ -350,6 +350,17 @@ class TestCliProcess:
         proc = run_cli(["conjugate", "--phi", "exp", "--s-max", "1000"])
         assert proc.returncode == 1
         assert "uodual: error: DomainExceeded" in proc.stderr
+
+    def test_norm_tol_below_float_spacing_exits_zero(self):
+        # the bisection used to spin forever once its midpoint rounded onto an endpoint
+        proc = run_cli(["norm", "--tol", "1e-300", "--values", "1,-2,3,0"], timeout=60)
+        assert proc.returncode == 0
+
+    def test_norm_past_the_float_range_is_modular_degenerate(self):
+        # the doubling used to overflow to inf and report a norm of Infinity
+        proc = run_cli(["norm", "--phi", "power:1:1e300", "--values", "1e10"], timeout=60)
+        assert proc.returncode == 1
+        assert "uodual: error: ModularDegenerate" in proc.stderr
 
     @pytest.mark.parametrize("scale", ["1e-322", "1e-323", "5e-324"])
     def test_subnormal_conjugate_range_is_grid_too_coarse(self, scale, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uodual import convex
 from uodual.convex import builtin
@@ -29,6 +30,45 @@ from uodual.measure import (
 from uodual.orlicz import OrliczFunction
 
 ZERO = RandomVariable.zero(ProbabilitySpace.dyadic(0))
+
+
+@st.composite
+def certificate_runs(draw):
+    """Values c_1..c_n_max drawn at, just below and just above the thresholds 2**-k, and 0."""
+    n_max = draw(st.integers(16, 24))
+    value = st.builds(
+        lambda k, nudge, sign: sign * nudge(2.0**-k),
+        st.integers(0, 26),
+        st.sampled_from([
+            lambda t: t,
+            lambda t: np.nextafter(t, 0.0),
+            lambda t: np.nextafter(t, math.inf),
+            lambda t: 0.75 * t,
+            lambda t: 0.0,
+        ]),
+        st.sampled_from([1.0, -1.0]),
+    )
+    return draw(st.lists(value, min_size=n_max, max_size=n_max))
+
+
+def nested_greedy(certs):
+    """Position k takes the first index after the previous pick with certificate <= 2**-k.
+
+    Returns the picks, and the stall message when the picks run out before the horizon.
+    """
+    n_max = len(certs)
+    picks, prev, k = [], 0, 1
+    while prev < n_max:
+        later = [n for n in range(prev + 1, n_max + 1) if certs[n - 1] <= 2.0**-k]
+        if not later:
+            return picks, (
+                f"no index in ({prev}, {n_max}] has certificate <= 2**-{k}; "
+                "the weighted distances do not tend to 0"
+            )
+        prev = later[0]
+        picks.append(prev)
+        k += 1
+    return picks, None
 
 
 class TestGenerators:
@@ -274,6 +314,31 @@ class TestExtraction:
         for k, n in enumerate(res.indices, start=1):
             cert = integrate(tw.element(n).abs())
             assert cert == res.certificates[k - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_runs())
+    def test_single_pass_matches_nested_greedy(self, values):
+        # element n is the constant c_n on one cell and the limit is 0, so
+        # its certificate is |c_n|; each element is generated once, in order
+        generated = []
+
+        def element(n):
+            generated.append(n)
+            return RandomVariable.from_values(ProbabilitySpace.dyadic(0), [values[n - 1]])
+
+        n_max = len(values)
+        certs = [abs(c) for c in values]
+        picks, stall = nested_greedy(certs)
+        seq = Sequence("synthetic", element, ZERO)
+        if stall is None:
+            res = extract_ae_subsequence(seq, None, None, n_max)
+            assert res.indices == tuple(picks)
+            assert res.certificates == tuple(certs[n - 1] for n in picks)
+        else:
+            with pytest.raises(ExtractionStalled) as err:
+                extract_ae_subsequence(seq, None, None, n_max)
+            assert str(err.value) == stall
+        assert generated == list(range(1, n_max + 1))
 
 
 class TestLiminfEstimate:

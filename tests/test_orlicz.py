@@ -522,22 +522,59 @@ class TestLuxemburgNorm:
             ng = luxemburg_norm(g, psi, tol).value
             assert abs(pairing(f, g)) <= 2 * nf * ng + 1e-6
 
-    def test_downward_bracket_evaluates_each_scale_once(self, monkeypatch):
-        # sup|f| = 0.002 has modular < 1, so the bracket halves downward; the
-        # scale that ends the halving is not evaluated a second time
+    @pytest.fixture
+    def capped_calls(self, monkeypatch):
+        """Count the calls of phi, and raise after 5,000 so that a search that never ends fails."""
         calls = []
         real = OrliczFunction.__call__
 
-        def counting(self, s):
+        def capped(self, s):
             calls.append(s)
+            if len(calls) > 5000:
+                raise RuntimeError("phi called more than 5,000 times")
             return real(self, s)
 
-        monkeypatch.setattr(OrliczFunction, "__call__", counting)
+        monkeypatch.setattr(OrliczFunction, "__call__", capped)
+        return calls
+
+    def test_downward_bracket_evaluates_each_scale_once(self, capped_calls):
+        # sup|f| = 0.002 has modular < 1, so the bracket halves downward; the
+        # scale that ends the halving is not evaluated a second time
         f = RandomVariable.from_values(ProbabilitySpace.uniform(2), [0.001, 0.002])
         res = luxemburg_norm(f, OrliczFunction.power(2), 1e-8)
-        assert len(calls) == 20
+        assert len(capped_calls) == 20
         assert res.value == res.bracket[1] == 0.0015811462402343752
         assert res.bracket[0] == 0.001581138610839844
+
+    @pytest.mark.parametrize("values, tol", [
+        ([1.0, -2.0, 3.0, 0.0], 1e-300),
+        ([1.0, -2.0, 3.0, 0.0], 5e-324),
+        # the bracket (7.5e307, 1.5e308) has lo + hi = inf
+        ([1.5e308, 1e308], 1e-6),
+    ])
+    def test_tol_below_float_spacing_ends_at_adjacent_floats(self, capped_calls, values, tol):
+        # the bisection used to spin once its midpoint rounded onto lo or hi, or overflowed
+        f = RandomVariable.from_values(ProbabilitySpace.uniform(len(values)), values)
+        res = luxemburg_norm(f, OrliczFunction.power(2), tol)
+        lo, hi = res.bracket
+        assert np.nextafter(lo, math.inf) == hi == res.value
+        assert res.modular_at_value <= 1.0
+
+    def test_subnormal_bracket_keeps_the_last_scale_walked(self, capped_calls):
+        # halving 5u (u the least subnormal) rounds to 2u; the bracket used to
+        # be (2u, 4u), where the modular is 1.25, and the norm 5u was missed
+        u = math.ulp(0.0)
+        f = RandomVariable.from_values(ProbabilitySpace.dyadic(0), [10 * u])
+        res = luxemburg_norm(f, OrliczFunction.power(1, 0.5), 1e-300)
+        assert res.value == 5 * u
+        assert res.modular_at_value == 1.0
+
+    def test_walk_past_the_float_range_is_degenerate(self, capped_calls):
+        # the modular is 1e310 / lam, so no finite scale brings it to 1; the
+        # doubling used to overflow to inf, where the modular is 0, and report inf
+        f = RandomVariable.from_values(ProbabilitySpace.dyadic(0), [1e10])
+        with pytest.raises(ModularDegenerate, match="stays above 1"):
+            luxemburg_norm(f, OrliczFunction.power(1, 1e300), 1e-8)
 
     def test_degenerate_phi_reported(self):
         # flat-zero sampled function (validation bypassed): the modular
