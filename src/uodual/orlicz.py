@@ -11,8 +11,9 @@ is concave in s, so each row stops once concavity certifies its value,
 and no second grid is needed).  The Luxemburg norm
 ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by one walk from
 sup|f| by factors of 2, which raises ModularDegenerate once it leaves the
-positive finite floats, and then bisected to width tol or to adjacent
-floats; the upper bracket endpoint is returned, a conservative
+positive finite floats, and then closed to width tol or to adjacent floats
+by a safeguarded secant (Illinois regula falsi on log modular against
+log lam); the upper bracket endpoint is returned, a conservative
 over-estimate of the infimum.
 """
 
@@ -188,8 +189,8 @@ class OrliczFunction:
 class LuxemburgResult:
     """Outcome of a Luxemburg norm computation.
 
-    ``value`` is the upper endpoint of the final bisection bracket (0 for
-    the zero vector), so the modular at ``value`` is always <= 1.
+    ``value`` is the upper endpoint of the final bracket (0 for the zero
+    vector), so the modular at ``value`` is always <= 1.
     """
 
     value: float
@@ -297,15 +298,26 @@ def _modular(abs_values: np.ndarray, weights: np.ndarray, phi: OrliczFunction, l
     return float(np.dot(weights, vals))
 
 
+def _log_modular(m: float) -> float:
+    """log m, or NaN where m is 0 or inf and has no finite logarithm."""
+    return math.log(m) if 0.0 < m < math.inf else math.nan
+
+
 def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> LuxemburgResult:
     """Luxemburg norm of ``f``: the smallest scale lam with E[phi(|f|/lam)] <= 1.
 
-    The modular lam -> E[phi(|f|/lam)] is nonincreasing, so one walk from
-    sup|f| doubles lam while the modular is above 1 and halves it while it
+    The modular lam -> M(lam) = E[phi(|f|/lam)] is nonincreasing, so one
+    walk from sup|f| doubles lam while M is above 1 and halves it while it
     is at most 1, raising ModularDegenerate if lam reaches 0 or inf (about
-    2,100 steps at most).  Its last two scales are bisected to width
-    ``tol``, or to adjacent floats.  The returned value is the upper
-    bracket endpoint.
+    2,100 steps at most).  Its last two scales bracket the norm, lo with
+    M > 1 and hi with M <= 1, and the bracket closes to width ``tol``, or
+    to adjacent floats, by regula falsi on log M against log lam with the
+    Illinois rule: exact in one step for power phi, where M is a power of
+    lam.  Each probe lies at least tol/2, and at least one float, inside
+    the bracket, so the side a secant leaves stale closes too; the probe is
+    the midpoint instead where a bracket end has M of 0 or inf, or after
+    three steps in a row that did not halve the bracket.  No scale is
+    evaluated twice.  The returned value is the upper bracket endpoint.
     """
     check_tol(tol, positive=True)
     abs_values = np.abs(f.array)
@@ -318,9 +330,8 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
     if m == 1.0:
         return LuxemburgResult(lam, (lam, lam), m)
     factor = 2.0 if m > 1.0 else 0.5
-    prev = lam
-    while (m > 1.0) == (factor > 1.0):
-        prev, lam = lam, lam * factor
+    while True:
+        prev, m_prev, lam = lam, m, lam * factor
         if not 0.0 < lam < math.inf:
             raise ModularDegenerate(
                 "modular stays above 1 for all probed scales"
@@ -328,14 +339,32 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
                 else "modular is <= 1 for every probed scale; phi vanishes on the range of |f|/lam"
             )
         m = _modular(abs_values, weights, phi, lam)
-    lo, hi = sorted((prev, lam))  # not lo and 2 * lo: halving a subnormal rounds
+        if (m > 1.0) != (factor > 1.0):
+            break
+    # the two last scales, not lo and 2 * lo: halving a subnormal rounds
+    (lo, m_lo), (hi, m_hi) = sorted(((prev, m_prev), (lam, m)))
 
+    g_lo, g_hi = _log_modular(m_lo), _log_modular(m_hi)  # > 0 and <= 0 where finite
+    moved = slow = 0  # the side the last probe moved (+1 lo, -1 hi), and steps in a row that did not halve
     while hi - lo > tol:
         mid = 0.5 * (lo + hi) if hi < 2.0**1023 else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        if _modular(abs_values, weights, phi, mid) > 1.0:
-            lo = mid
+        lam = mid
+        if slow < 3 and g_lo > g_hi:  # False when either is NaN
+            lam = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
+            # tol/2, and at least one float, inside each end: lo and hi are not adjacent
+            lam = max(lam, lo + 0.5 * tol, math.nextafter(lo, math.inf))
+            lam = min(lam, hi - 0.5 * tol, math.nextafter(hi, 0.0))
+        width = hi - lo
+        m = _modular(abs_values, weights, phi, lam)
+        if m > 1.0:
+            if moved > 0:  # hi is stale: halve its log modular (Illinois)
+                g_hi *= 0.5
+            lo, m_lo, g_lo, moved = lam, m, _log_modular(m), 1
         else:
-            hi = mid
-    return LuxemburgResult(hi, (lo, hi), _modular(abs_values, weights, phi, hi))
+            if moved < 0:
+                g_lo *= 0.5
+            hi, m_hi, g_hi, moved = lam, m, _log_modular(m), -1
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return LuxemburgResult(hi, (lo, hi), m_hi)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from uodual import convex
 from uodual.convex import builtin
 from uodual.fatou import TestSequence as Sequence
 from uodual.fatou import (
+    _BLOCK_VALUES,
     _level,
     ExtractionStalled,
     NotConvergent,
@@ -231,6 +233,94 @@ class TestCheckBoundedUoLsc:
         with pytest.raises(NotNormBounded, match="element 2 "):
             check_bounded_uo_lsc(builtin("expectation"), blowup, 16, 1e-9)
 
+    @staticmethod
+    def recording(rho):
+        """A copy of rho whose ``evaluate_rows`` records the shape of each matrix it is given."""
+        shapes, inner = [], rho.evaluate_rows
+
+        def evaluate_rows(space, m):
+            shapes.append(m.shape)
+            return inner(space, m)
+
+        return dataclasses.replace(rho, evaluate_rows=evaluate_rows), shapes
+
+    @staticmethod
+    def constants(level_of, value_of=float):
+        """A sequence of constant elements, recording the indices it generates."""
+        generated = []
+
+        def element(n):
+            generated.append(n)
+            return RandomVariable.constant(ProbabilitySpace.dyadic(level_of(n)), value_of(n))
+
+        return Sequence("constants", element, ZERO), generated
+
+    def test_norm_bound_names_the_first_element_inside_a_block(self):
+        # 16 elements of 4 cells share one block; rho never sees it
+        s, _ = self.constants(lambda n: 2, lambda n: 2e6 if n in (5, 9) else 1.0)
+        rho, shapes = self.recording(builtin("expectation"))
+        with pytest.raises(NotNormBounded, match="element 5 has L1 norm 2e\\+06"):
+            check_bounded_uo_lsc(rho, s, 16, 1e-9)
+        assert shapes == []
+
+    def test_norm_bound_names_the_first_element_after_a_clean_block(self):
+        # 1,024 cells a row: elements 1-4 fill a block and are evaluated, 6 is the first to break the bound
+        s, _ = self.constants(lambda n: 10, lambda n: 2e6 if n >= 6 else 1.0)
+        rho, shapes = self.recording(builtin("expectation"))
+        with pytest.raises(NotNormBounded, match="element 6 "):
+            check_bounded_uo_lsc(rho, s, 16, 1e-9)
+        assert shapes == [(4, 1024)]
+
+    def test_scalar_only_functional_keeps_its_values(self):
+        rho = convex.ConvexFunctional("max-plus-mean", evaluate=lambda f: float(np.max(f.array)) + integrate(f))
+        s = generate("spike")
+        rep = check_bounded_uo_lsc(rho, s, 40, 1e-9)
+        assert rep.values == tuple(rho.evaluate(s.element(n)) for n in range(1, 41))
+
+    def test_spaces_up_and_down_keep_index_order(self):
+        s, generated = self.constants(lambda n: 3 if n % 2 else 1)
+        for rho in (builtin("expectation"), convex.ConvexFunctional("mean", evaluate=integrate)):
+            generated.clear()
+            rep = check_bounded_uo_lsc(rho, s, 20, 1e-9)
+            assert rep.values == tuple(float(n) for n in range(1, 21))
+            assert generated == list(range(1, 21))
+
+    @pytest.mark.parametrize("name", convex.builtin_names())
+    def test_blocks_match_element_by_element_evaluation(self, name):
+        rho = builtin(name)
+        limit = RandomVariable.from_values(ProbabilitySpace.dyadic(2), [0.5, -1.0, 0.25, 2.0])
+        for s, n_max in ((generate("spike"), 256), (generate("constant", limit), 128)):
+            rep = check_bounded_uo_lsc(rho, s, n_max, 1e-9)
+            ref = np.array([rho.evaluate(s.element(n)) for n in range(1, n_max + 1)])
+            values = np.array(rep.values)
+            finite = np.isfinite(ref)
+            assert np.array_equal(values[~finite], ref[~finite])
+            assert np.all(np.abs(values[finite] - ref[finite]) <= 1e-15 * (1.0 + np.abs(ref[finite])))
+            at_limit = rho.evaluate(s.declared_limit)
+            expected = "violated" if at_limit > min(ref[n_max // 2 :]) + 1e-9 else "satisfied-evidence"
+            assert rep.verdict == expected
+
+    def test_one_rows_call_per_block(self):
+        # spike elements 1..256 lie on levels 0..8; a block holds 4,096 // 2**level of them
+        rho, shapes = self.recording(builtin("entropic"))
+        check_bounded_uo_lsc(rho, generate("spike"), 256, 1e-9)
+        per_level = np.bincount([_level(n) for n in range(1, 257)])
+        blocks = sum(math.ceil(k / max(1, _BLOCK_VALUES >> level)) for level, k in enumerate(per_level))
+        assert len(shapes) <= blocks == 17
+        assert sum(rows for rows, _ in shapes) == 256
+        assert max(rows * cells for rows, cells in shapes) <= _BLOCK_VALUES
+
+    def test_memory_stays_within_blocks(self):
+        # a block holds 32 KB; stacking level 12 of this horizon whole would take 64 MB
+        rho, s = builtin("entropic"), generate("spike")
+        tracemalloc.start()
+        try:
+            check_bounded_uo_lsc(rho, s, 4096, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
     def test_n_max_validated(self):
         # the work grows with the square of n_max, which had no upper bound
         for n_max in (8, 4097):
@@ -386,7 +476,8 @@ class TestVerifyNormBounded:
         from uodual.orlicz import luxemburg_norm
 
         assert rep.verdict == "bounded"
-        assert rep.bound == pytest.approx(luxemburg_norm(f, OrliczFunction.power(2), 1e-6).value, abs=1e-9)
+        # each refined copy of f has the norm of f, and each computed norm lies within tol = 1e-6 of it
+        assert rep.bound == pytest.approx(luxemburg_norm(f, OrliczFunction.power(2), 1e-6).value, abs=1e-6)
 
 
 class TestLscConsistencyWithDualRepresentation:

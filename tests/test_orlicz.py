@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from uodual import orlicz
 from uodual.convex import section_max
@@ -22,6 +22,19 @@ def unchecked(grid_s, grid_y):
     """A sampled function from the dataclass constructor, whose knots nothing validates."""
     s, y = tuple(map(float, grid_s)), tuple(map(float, grid_y))
     return OrliczFunction("sampled", grid_s=s, grid_y=y, domain_cap=s[-1])
+
+
+# Orlicz functions of the Luxemburg bracket property: the three kinds, a
+# sampled one that vanishes on [0, 1] (its modular is 0 at large scales),
+# and a conjugate, sampled from a Legendre transform
+LUX_PHIS = [
+    OrliczFunction.power(1.0),
+    OrliczFunction.power(1.5, 0.3),
+    OrliczFunction.power(3.0, 7.0),
+    OrliczFunction.exponential(0.7),
+    OrliczFunction.sampled([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 3.0]),
+    conjugate(OrliczFunction.power(2.0, 1.3), 8.0, 64),
+]
 
 
 def slow_bend(c=0.9e-9, n=1000):
@@ -539,12 +552,66 @@ class TestLuxemburgNorm:
 
     def test_downward_bracket_evaluates_each_scale_once(self, capped_calls):
         # sup|f| = 0.002 has modular < 1, so the bracket halves downward; the
-        # scale that ends the halving is not evaluated a second time
+        # scale that ends the halving is not evaluated a second time.  The
+        # secant is exact for power phi: it lands on the norm sqrt(2.5e-6),
+        # where the modular rounds above 1, and the probe tol/2 above closes
         f = RandomVariable.from_values(ProbabilitySpace.uniform(2), [0.001, 0.002])
         res = luxemburg_norm(f, OrliczFunction.power(2), 1e-8)
-        assert len(capped_calls) == 20
-        assert res.value == res.bracket[1] == 0.0015811462402343752
-        assert res.bracket[0] == 0.001581138610839844
+        assert len(capped_calls) == 4
+        assert len({s.tobytes() for s in capped_calls}) == 4
+        assert res.value == res.bracket[1] == 0.0015811438300841895
+        assert res.bracket[0] == 0.0015811388300841895
+
+    @pytest.fixture
+    def probed_scales(self, capped_calls, monkeypatch):
+        """The scales at which the modular is evaluated, in order, on top of the capped phi calls."""
+        scales = []
+        real = orlicz._modular
+
+        def recorded(abs_values, weights, phi, lam):
+            scales.append(lam)
+            return real(abs_values, weights, phi, lam)
+
+        monkeypatch.setattr(orlicz, "_modular", recorded)
+        return scales
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        phi=st.sampled_from(LUX_PHIS),
+        scale=st.floats(-30.0, 30.0).map(lambda e: 10.0**e),
+        level=st.integers(0, 6),
+        data=st.data(),
+        rel_tol=st.sampled_from([1e-2, 1e-9, 1e-15, 1e-300]),
+    )
+    def test_bracket_contract(self, capped_calls, probed_scales, phi, scale, level, data, rel_tol):
+        capped_calls.clear()
+        probed_scales.clear()
+        sp = ProbabilitySpace.dyadic(level)
+        cells = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sp.size, max_size=sp.size))
+        cells = [c if abs(c) >= 1e-6 else 0.0 for c in cells]
+        assume(any(cells))
+        f = RandomVariable(sp, scale * np.array(cells))
+        tol = max(rel_tol * scale, math.ulp(0.0))
+        res = luxemburg_norm(f, phi, tol)
+        # one phi call per modular, and no scale evaluated twice
+        assert len(capped_calls) == len(probed_scales) == len(set(probed_scales))
+        lo, hi = res.bracket
+        assert res.value == hi
+        assert hi - lo <= tol or np.nextafter(lo, math.inf) == hi
+        abs_values = np.abs(f.array)
+        assert res.modular_at_value == orlicz._modular(abs_values, sp.weights, phi, hi) <= 1.0
+        if lo < hi:  # lo == hi only where the modular at sup|f| is exactly 1
+            assert orlicz._modular(abs_values, sp.weights, phi, lo) > 1.0
+
+    @pytest.mark.parametrize("phi", [
+        OrliczFunction.power(1.5), OrliczFunction.power(2), OrliczFunction.power(3), OrliczFunction.exponential(),
+    ], ids=lambda phi: phi.describe())
+    def test_evaluation_count_guard(self, capped_calls, phi):
+        # the secant takes 4 evaluations under power phi and 8 under exp on
+        # this f; bisection took about 34
+        f = RandomVariable(ProbabilitySpace.dyadic(12), np.random.default_rng(12).uniform(0.0, 1.0, 4096))
+        luxemburg_norm(f, phi, 1e-9)
+        assert len(capped_calls) <= 8
 
     @pytest.mark.parametrize("values, tol", [
         ([1.0, -2.0, 3.0, 0.0], 1e-300),
