@@ -220,9 +220,13 @@ def check_bounded_uo_lsc(
 
     The liminf at a finite horizon is estimated as the minimum over the
     last half of the evaluated indices; tol separates a genuine violation
-    from estimation noise.  The L1 norms of the elements must stay below
-    1e6, otherwise the boundedness hypothesis fails (NotNormBounded, naming
-    the first such element) and the comparison would be meaningless.
+    from estimation noise.  The liminf and rho(limit) are both computed by
+    ``rho.evaluate``, the liminf at the element of least block value, so
+    a block value that differs from ``evaluate`` in the last bit cannot
+    decide a verdict at tol = 0.  The L1 norms of the elements must stay
+    below 1e6, otherwise the boundedness hypothesis fails (NotNormBounded,
+    naming the first such element) and the comparison would be
+    meaningless.
     Elements are generated one at a time and evaluated by blocks: runs of
     consecutive elements on one space, of at most 4,096 values, each
     checked for its norms and then given to one ``rho.rows`` call.
@@ -231,15 +235,19 @@ def check_bounded_uo_lsc(
     check_tol(tol)
     if s.declared_limit is None:
         raise NotConvergent(f"sequence {s.name!r} has no declared limit")
-    values = []
+    values, lowest = [], None  # the first late element of least value, as (value, space, row)
     for first, space, m in _blocks(s, n_max):
         l1 = np.abs(m) @ space.weights
         over = np.flatnonzero(l1 > _NORM_BOUND)
         if over.size:
             i = int(over[0])
             raise NotNormBounded(f"element {first + i} has L1 norm {l1[i]:g} > bound {_NORM_BOUND:g}")
-        values += rho.rows(space, m).tolist()
-    liminf = min(values[n_max // 2 :])
+        block = rho.rows(space, m).tolist()
+        values += block
+        for i in range(max(n_max // 2 + 1 - first, 0), len(block)):
+            if lowest is None or block[i] < lowest[0]:
+                lowest = block[i], space, m[i].copy()  # not a view that holds the block
+    liminf = rho.evaluate(RandomVariable(lowest[1], lowest[2]))
     at_limit = rho.evaluate(s.declared_limit)
     verdict = "violated" if at_limit > liminf + tol else "satisfied-evidence"
     return LscReport(s.name, n_max, tuple(values), liminf, at_limit, verdict, tol)

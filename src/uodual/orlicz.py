@@ -40,6 +40,11 @@ __all__ = [
 _CONVEXITY_TOL = 1e-9
 # the bend _check_convex allows per unit of |y| read: rounded samples of convex builtins bend by up to 1 eps
 _ROUNDING = 4 * math.ulp(1.0)
+# relative inset of a secant probe next to a bracket end: above the rounding
+# of a modular of thousands of cells, whose log falls at least as fast as
+# log lam (phi(s)/s is nondecreasing), so a probe this far past a secant
+# point that lands on the norm has the modular on the other side of 1
+_NEAR = 2.0**-40
 # the coarsest and the finest grid conjugate takes: its arrays hold
 # 2 * grid_size + 1 floats, and grid 65,536 takes seconds
 MIN_GRID_SIZE = 64
@@ -313,11 +318,16 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
     M > 1 and hi with M <= 1, and the bracket closes to width ``tol``, or
     to adjacent floats, by regula falsi on log M against log lam with the
     Illinois rule: exact in one step for power phi, where M is a power of
-    lam.  Each probe lies at least tol/2, and at least one float, inside
-    the bracket, so the side a secant leaves stale closes too; the probe is
-    the midpoint instead where a bracket end has M of 0 or inf, or after
-    three steps in a row that did not halve the bracket.  No scale is
-    evaluated twice.  The returned value is the upper bracket endpoint.
+    lam.  Each probe lies at least one float, and a relative 2**-40 (at
+    most tol/2), inside the bracket, so a secant point on the norm closes
+    the bracket in one more step, and after a step that did not halve the
+    bracket it lies tol/2 inside, so the side a secant leaves stale closes
+    too.  The probe is the midpoint instead where a bracket end has M of 0
+    or inf, or after three steps in a row that did not halve the bracket:
+    every fourth step at the latest halves it, so closing the walk's
+    bracket takes at most four evaluations per halving, where bisection
+    takes one.  No scale is evaluated twice.  The returned value is the upper bracket
+    endpoint.
     """
     check_tol(tol, positive=True)
     abs_values = np.abs(f.array)
@@ -353,18 +363,20 @@ def luxemburg_norm(f: RandomVariable, phi: OrliczFunction, tol: float) -> Luxemb
         lam = mid
         if slow < 3 and g_lo > g_hi:  # False when either is NaN
             lam = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
-            # tol/2, and at least one float, inside each end: lo and hi are not adjacent
-            lam = max(lam, lo + 0.5 * tol, math.nextafter(lo, math.inf))
-            lam = min(lam, hi - 0.5 * tol, math.nextafter(hi, 0.0))
+            # at least one float inside each end (lo and hi are not adjacent), and a
+            # relative _NEAR (at most tol/2), or tol/2 after a step that did not halve
+            inset = 0.5 * tol if slow else min(0.5 * tol, _NEAR * hi)
+            lam = max(lam, lo + inset, math.nextafter(lo, math.inf))
+            lam = min(lam, hi - inset, math.nextafter(hi, 0.0))
         width = hi - lo
         m = _modular(abs_values, weights, phi, lam)
         if m > 1.0:
             if moved > 0:  # hi is stale: halve its log modular (Illinois)
                 g_hi *= 0.5
-            lo, m_lo, g_lo, moved = lam, m, _log_modular(m), 1
+            lo, g_lo, moved = lam, _log_modular(m), 1
         else:
             if moved < 0:
                 g_lo *= 0.5
             hi, m_hi, g_hi, moved = lam, m, _log_modular(m), -1
-        slow = slow + 1 if hi - lo > 0.5 * width else 0
+        slow = 0 if lam == mid or hi - lo <= 0.5 * width else slow + 1
     return LuxemburgResult(hi, (lo, hi), m_hi)

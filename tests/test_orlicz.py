@@ -25,6 +25,7 @@ def unchecked(grid_s, grid_y):
 
 
 # Orlicz functions of the Luxemburg bracket property: the three kinds, a
+# fast exp (log M is far from linear in log lam, so the secant is slow), a
 # sampled one that vanishes on [0, 1] (its modular is 0 at large scales),
 # and a conjugate, sampled from a Legendre transform
 LUX_PHIS = [
@@ -32,6 +33,7 @@ LUX_PHIS = [
     OrliczFunction.power(1.5, 0.3),
     OrliczFunction.power(3.0, 7.0),
     OrliczFunction.exponential(0.7),
+    OrliczFunction.exponential(40.0),
     OrliczFunction.sampled([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 3.0]),
     conjugate(OrliczFunction.power(2.0, 1.3), 8.0, 64),
 ]
@@ -554,26 +556,27 @@ class TestLuxemburgNorm:
         # sup|f| = 0.002 has modular < 1, so the bracket halves downward; the
         # scale that ends the halving is not evaluated a second time.  The
         # secant is exact for power phi: it lands on the norm sqrt(2.5e-6),
-        # where the modular rounds above 1, and the probe tol/2 above closes
+        # where the modular rounds above 1, and the probe 2**-40 relative
+        # above closes
         f = RandomVariable.from_values(ProbabilitySpace.uniform(2), [0.001, 0.002])
         res = luxemburg_norm(f, OrliczFunction.power(2), 1e-8)
         assert len(capped_calls) == 4
         assert len({s.tobytes() for s in capped_calls}) == 4
-        assert res.value == res.bracket[1] == 0.0015811438300841895
+        assert res.value == res.bracket[1] == 0.0015811388300860086
         assert res.bracket[0] == 0.0015811388300841895
 
     @pytest.fixture
-    def probed_scales(self, capped_calls, monkeypatch):
-        """The scales at which the modular is evaluated, in order, on top of the capped phi calls."""
-        scales = []
+    def probes(self, capped_calls, monkeypatch):
+        """The (scale, modular) of each modular evaluation, in order, on top of the capped phi calls."""
+        probes = []
         real = orlicz._modular
 
         def recorded(abs_values, weights, phi, lam):
-            scales.append(lam)
-            return real(abs_values, weights, phi, lam)
+            probes.append((lam, real(abs_values, weights, phi, lam)))
+            return probes[-1][1]
 
         monkeypatch.setattr(orlicz, "_modular", recorded)
-        return scales
+        return probes
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -583,9 +586,9 @@ class TestLuxemburgNorm:
         data=st.data(),
         rel_tol=st.sampled_from([1e-2, 1e-9, 1e-15, 1e-300]),
     )
-    def test_bracket_contract(self, capped_calls, probed_scales, phi, scale, level, data, rel_tol):
+    def test_bracket_contract(self, capped_calls, probes, phi, scale, level, data, rel_tol):
         capped_calls.clear()
-        probed_scales.clear()
+        probes.clear()
         sp = ProbabilitySpace.dyadic(level)
         cells = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sp.size, max_size=sp.size))
         cells = [c if abs(c) >= 1e-6 else 0.0 for c in cells]
@@ -594,14 +597,22 @@ class TestLuxemburgNorm:
         tol = max(rel_tol * scale, math.ulp(0.0))
         res = luxemburg_norm(f, phi, tol)
         # one phi call per modular, and no scale evaluated twice
-        assert len(capped_calls) == len(probed_scales) == len(set(probed_scales))
+        scales = [lam for lam, _ in probes]
+        assert len(capped_calls) == len(scales) == len(set(scales))
         lo, hi = res.bracket
         assert res.value == hi
         assert hi - lo <= tol or np.nextafter(lo, math.inf) == hi
-        abs_values = np.abs(f.array)
-        assert res.modular_at_value == orlicz._modular(abs_values, sp.weights, phi, hi) <= 1.0
-        if lo < hi:  # lo == hi only where the modular at sup|f| is exactly 1
-            assert orlicz._modular(abs_values, sp.weights, phi, lo) > 1.0
+        assert res.modular_at_value == probes[scales.index(hi)][1] <= 1.0
+        if lo == hi:  # only where the modular at sup|f| is exactly 1
+            assert len(probes) == 1
+            return
+        assert probes[scales.index(lo)][1] > 1.0
+        # at most four evaluations per halving of the bracket the factor-2 walk ends with
+        above = [m > 1.0 for _, m in probes]
+        end = above.index(not above[0])
+        lo0, hi0 = sorted((scales[end - 1], scales[end]))
+        halvings = max(math.ceil(math.log2((hi0 - lo0) / max(tol, math.ulp(lo0)))), 0)
+        assert len(probes) - end - 1 <= 4 * (halvings + 1)
 
     @pytest.mark.parametrize("phi", [
         OrliczFunction.power(1.5), OrliczFunction.power(2), OrliczFunction.power(3), OrliczFunction.exponential(),
