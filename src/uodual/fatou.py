@@ -10,8 +10,9 @@ limit, constant distance from 0), and constants.
 sequence converging to the limit in a strictly positive weighted L1 sense
 into an a.e.-convergent subsequence: indices are chosen greedily so the
 k-th certificate integral is at most 2**-k, which makes the certificate
-series summable; the pointwise verdict then re-checks convergence at
-every cell of the finest generated level.
+series summable; the pointwise verdict then counts the picks' visits to
+every cell of the finest generated level.  It and the lsc check read the
+elements in one walk, by blocks of consecutive elements on one space.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .convex import ConvexFunctional, UnknownName
 from .measure import (
+    NotDyadic,
     ProbabilitySpace,
     RandomVariable,
     check_tol,
@@ -192,22 +194,28 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must lie in [{MIN_N_MAX}, {MAX_N_MAX}]")
 
 
-def _blocks(s: TestSequence, n_max: int):
+def _blocks(s: TestSequence, n_max: int, cells: int = 1):
     """Elements 1..n_max in order, stacked as ``(first n, space, matrix)``.
 
     A block holds consecutive elements on one space, at most
-    ``_BLOCK_VALUES`` values of them (or one element, if it is larger), and
+    ``_BLOCK_VALUES`` values with each row counted at no fewer than ``cells``,
+    the size a caller refines it to (or one element, if it is larger), and
     a new block starts wherever the space changes.
     """
     first, space, rows = 1, None, []
     for n in range(1, n_max + 1):
         f = s.element(n)
-        if rows and (f.space != space or (len(rows) + 1) * space.size > _BLOCK_VALUES):
+        if rows and (f.space != space or (len(rows) + 1) * max(space.size, cells) > _BLOCK_VALUES):
             yield first, space, np.array(rows)
             first, rows = n, []
         space = f.space
         rows.append(f.array)
     yield first, space, np.array(rows)
+
+
+def _repeat(m: np.ndarray, cells: int) -> np.ndarray:
+    """Rows of dyadic cell values refined to ``cells`` cells each, as ``refine`` does."""
+    return m if m.shape[1] == cells else np.repeat(m, cells // m.shape[1], axis=1)
 
 
 def check_bounded_uo_lsc(
@@ -286,8 +294,9 @@ def extract_ae_subsequence(
     k - 1 indices are picked already.  If the last pick falls short of
     the horizon, the weighted distances are not tending to 0 and
     ExtractionStalled is raised.  Summability of the certificates is what
-    forces almost everywhere convergence; the verdict re-checks it cell
-    by cell, where a distance above 1e-9 counts as a visit.
+    forces almost everywhere convergence; the verdict re-checks it by
+    counting, per cell of the finest level, the last-half picks (read by
+    the lsc check's blocks) at a distance above 1e-9 there.
     """
     _check_n_max(n_max)
     if limit is None:
@@ -299,45 +308,35 @@ def extract_ae_subsequence(
     if not (phi_weight.array > 0.0).all():
         raise ValueError("phi_weight must be strictly positive at every point")
 
-    refined = {}  # element level -> the common space, and limit and weight values there
-
-    def certificate(f: RandomVariable) -> float:
-        """``pairing(|f - limit|, phi_weight)`` bit for bit, refining limit and weight once per level."""
-        if f.space.level not in refined:
-            _, lim = common_refinement(f, limit)
-            lim, weight = common_refinement(lim, phi_weight)
-            refined[f.space.level] = (lim.space, lim.array, weight.array)
-        space, lim, weight = refined[f.space.level]
-        if f.space != space:
-            f = refine(f, space.level)
-        return math.fsum((np.abs(f.array - lim) * weight * space.weights).tolist())
-
-    indices: list[int] = []
-    certificates: list[float] = []
-    chosen: list[RandomVariable] = []
-    for n in range(1, n_max + 1):
-        f = s.element(n)
-        c = certificate(f)
-        if c <= 2.0 ** -(len(indices) + 1):
-            indices.append(n)
-            certificates.append(c)
-            chosen.append(f)
-    last = indices[-1] if indices else 0
+    picks = []  # (n, certificate, the cells where |f_n - limit| > _AE_TOL)
+    run = None
+    for first, space, m in _blocks(s, n_max, max(limit.space.size, phi_weight.space.size)):
+        if space != run:  # refine the limit and the weight once per run of blocks on one space
+            run = space
+            _, lim = common_refinement(RandomVariable(space, m[0]), limit)
+            _, weight = common_refinement(lim, phi_weight)
+        d = np.abs(_repeat(m, lim.space.size) - lim.array)
+        # pairing(|f_n - limit|, phi_weight)'s products in its order, so certificates keep its bits
+        products = _repeat(d, weight.space.size) * weight.array * weight.space.weights
+        for i, c in enumerate(map(math.fsum, products.tolist())):
+            if c <= 2.0 ** -(len(picks) + 1):
+                picks.append((first + i, c, d[i] > _AE_TOL))
+    last = picks[-1][0] if picks else 0
     if last < n_max:
         raise ExtractionStalled(
-            f"no index in ({last}, {n_max}] has certificate <= 2**-{len(indices) + 1}; "
+            f"no index in ({last}, {n_max}] has certificate <= 2**-{len(picks) + 1}; "
             "the weighted distances do not tend to 0"
         )
 
-    level = max([limit.space.level or 0] + [f.space.level or 0 for f in chosen])
-    lim_fine = refine(limit, level) if limit.space.level is not None else limit
-    diffs = np.array([np.abs(refine(f, level).array - lim_fine.array) for f in chosen])
-    half = len(indices) // 2
-    tail_rows = diffs[half:]
-    violations = (tail_rows > _AE_TOL).sum(axis=0)
-    allowed = tail_rows.shape[0] / 2.0
-    failing = tuple(int(c) for c in np.nonzero(violations > allowed)[0])
-    return ExtractionResult(tuple(indices), tuple(certificates), level, not failing, failing)
+    if limit.space.level is None:  # the verdict refines every pick to one dyadic level
+        raise NotDyadic("only dyadic spaces can be refined")
+    indices, certificates, hits = zip(*picks)
+    tail = hits[len(hits) // 2 :]
+    visits = np.zeros(max(row.size for row in hits), dtype=int)
+    for row in tail:
+        visits += np.repeat(row, visits.size // row.size)
+    failing = tuple(np.flatnonzero(visits > len(tail) / 2.0).tolist())
+    return ExtractionResult(indices, certificates, _level(visits.size), not failing, failing)
 
 
 @dataclass(frozen=True, eq=False)

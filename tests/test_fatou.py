@@ -22,6 +22,8 @@ from uodual.fatou import (
     verify_norm_bounded,
 )
 from uodual.measure import (
+    IncompatibleSpaces,
+    NotDyadic,
     ProbabilitySpace,
     RandomVariable,
     common_refinement,
@@ -437,6 +439,107 @@ class TestExtraction:
                 extract_ae_subsequence(seq, None, None, n_max)
             assert str(err.value) == stall
         assert generated == list(range(1, n_max + 1))
+
+
+    def test_memory_holds_no_picks_by_cells_float_matrix(self):
+        # every index of a constant sequence is picked; stacking each pick
+        # refined to level 10 as floats peaked at about 16 MiB
+        f = RandomVariable(ProbabilitySpace.dyadic(10), np.random.default_rng(3).normal(size=1024))
+        s = generate("constant", f)
+        tracemalloc.start()
+        try:
+            res = extract_ae_subsequence(s, None, f, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.indices) == 1024 and res.ae_ok
+        assert peak < 4 * 2**20
+
+    def test_memory_caps_blocks_at_the_refined_size(self):
+        # one-cell elements against a level-10 weight: a block of 1,024 of
+        # them would hold 1,024 x 1,024 floats once refined to the weight
+        s = Sequence("halves", lambda n: RandomVariable(ProbabilitySpace.dyadic(0), [2.0 ** -(n + 2)]), ZERO)
+        w = RandomVariable.ones(ProbabilitySpace.dyadic(10))
+        tracemalloc.start()
+        try:
+            res = extract_ae_subsequence(s, w, None, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.indices == tuple(range(1, 1025))
+        assert peak < 2**20
+
+    @staticmethod
+    def reference_verdict(s, limit, indices):
+        """(level, ae_ok, failing_cells) from every pick refined and stacked as floats."""
+        chosen = [s.element(n) for n in indices]
+        level = max([limit.space.level] + [f.space.level for f in chosen])
+        lim = refine(limit, level).array
+        diffs = np.array([np.abs(refine(f, level).array - lim) for f in chosen])
+        tail = diffs[len(chosen) // 2 :] > 1e-9
+        failing = tuple(np.flatnonzero(tail.sum(axis=0) > tail.shape[0] / 2.0).tolist())
+        return level, not failing, failing
+
+    def noisy_sequence(self, limit):
+        """Elements on levels that go up and down, nearing ``limit`` on sparse cells."""
+        rng = np.random.default_rng(11)
+        levels = rng.integers(0, 7, size=129)
+
+        def element(n):
+            r = np.random.default_rng(100 + n)
+            level = int(levels[n]) if n > 8 else 1
+            base = refine(limit, level).array if level >= limit.space.level else np.zeros(2**level)
+            noise = r.normal(size=2**level) * (r.random(2**level) < 0.3) * 0.7**n
+            return RandomVariable(ProbabilitySpace.dyadic(level), base + noise)
+
+        return Sequence("noisy", element, limit)
+
+    def test_ae_verdict_matches_stacked_reference(self):
+        rng = np.random.default_rng(5)
+        w = RandomVariable(ProbabilitySpace.dyadic(10), rng.uniform(0.5, 1.5, 1024))
+        # typewriter: the limit is finer than the early elements and the
+        # weight finer than all; every pick is 2e-9 from the limit on its cell 2
+        lim = RandomVariable(ProbabilitySpace.dyadic(3), [0.0, 0.0, 2e-9, 0.0, 0.0, 0.0, 0.0, 1e-12])
+        tw = generate("typewriter")
+        res = extract_ae_subsequence(tw, w, lim, 256)
+        assert res.level == 8  # the weight's level 10 never enters it
+        assert res.failing_cells == tuple(range(64, 96))
+        assert (res.level, res.ae_ok, res.failing_cells) == self.reference_verdict(tw, lim, res.indices)
+        lim = RandomVariable(ProbabilitySpace.dyadic(3), rng.normal(size=8))
+        noisy = self.noisy_sequence(lim)
+        res = extract_ae_subsequence(noisy, w, None, 128)
+        assert res.level == 6
+        assert (res.level, res.ae_ok, res.failing_cells) == self.reference_verdict(noisy, lim, res.indices)
+
+    def test_ae_verdict_names_the_failing_cells(self):
+        # a weight of 1e-300 on the one cell where f sits lets every index
+        # pass, so that cell is visited by every pick
+        f = RandomVariable.from_values(ProbabilitySpace.dyadic(2), [1.0, 0.0, 0.0, 0.0])
+        w = RandomVariable.from_values(ProbabilitySpace.dyadic(2), [1e-300, 1.0, 1.0, 1.0])
+        s = generate("constant", f)
+        res = extract_ae_subsequence(s, w, ZERO, 64)
+        assert res.indices == tuple(range(1, 65))
+        assert not res.ae_ok
+        assert res.failing_cells == tuple(range(16))  # cell 0 of level 2 at level 6
+        assert (res.level, res.ae_ok, res.failing_cells) == self.reference_verdict(s, ZERO, res.indices)
+
+    def test_non_dyadic_spaces_are_refused(self):
+        # on one shared space every certificate is computed, then the
+        # verdict cannot refine; a second space is refused by the walk
+        three, five = ProbabilitySpace.uniform(3), ProbabilitySpace.uniform(5)
+        calls = []
+
+        def element(n, space=three):
+            calls.append(n)
+            return RandomVariable(space, np.full(space.size, 2.0 ** -(n + 2)))
+
+        zero, w = RandomVariable.zero(three), RandomVariable.ones(three)
+        with pytest.raises(NotDyadic, match="only dyadic spaces can be refined"):
+            extract_ae_subsequence(Sequence("shared", element, zero), w, None, 32)
+        assert calls == list(range(1, 33))
+        moving = Sequence("moving", lambda n: element(n, three if n < 5 else five), zero)
+        with pytest.raises(IncompatibleSpaces):
+            extract_ae_subsequence(moving, w, None, 32)
 
 
 class TestLiminfEstimate:
