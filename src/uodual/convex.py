@@ -154,8 +154,9 @@ _MAX_SWEEPS = 40
 _VALUE_TOL = 1e-5
 # scan points per row and call of the section search
 _SECTION_POINTS = 16
-# rows of one section-search call: bounds its (rows, points + 1) scan at 8,192
-# values, which the 2,049-row Orlicz refinement would otherwise hold at once
+# rows of one section-search call: bounds its (rows, points + 1) scan at 8,192 values.
+# On the 2,925 points of density_lattice(dyadic(2), 1/6) a ConjugateField.compute peaked at
+# 5.1 / 5.7 / 5.6 MiB traced with this queue, 14.2 / 31.3 / 28.7 without (worst-case / AVaR / entropic)
 _SECTION_ROWS = 8192 // (_SECTION_POINTS + 1)
 # share of the box width within which a maximiser counts as on the boundary
 _BOUNDARY_MARGIN = 1e-6

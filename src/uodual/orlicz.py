@@ -1,14 +1,9 @@
-"""Orlicz functions, conjugates by numerical Legendre transform, and Luxemburg norms.
+"""Orlicz functions, their exact conjugates, and Luxemburg norms.
 
 An Orlicz function is convex, nondecreasing, vanishes at 0 and is not
 identically 0.  The conjugate ``psi(t) = sup { s*t - phi(s) : s >= 0 }``
-is computed in one pass on a truncated s-range, where phi is sampled once
-and its samples must be convex.  Its grid maximum lies where the running
-maximum of the sample slopes and their running minimum from the right
-reach t, found by one ``searchsorted`` each (linear in the grid size),
-and is then refined by the section search of ``convex`` (the objective
-is concave in s, so each row stops once concavity certifies its value,
-and no second grid is needed).  The Luxemburg norm
+is read on a truncated s-range at an exact maximiser per t, by kind
+(closed forms for power and exp phi, knots for sampled phi).  The Luxemburg norm
 ``inf { lam > 0 : E[phi(|f|/lam)] <= 1 }`` is bracketed by one walk from
 sup|f| by factors of 2, which raises ModularDegenerate once it leaves the
 positive finite floats, and then closed to width tol or to adjacent floats
@@ -24,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import section_max
 from .measure import RandomVariable, check_tol
 
 __all__ = [
@@ -45,8 +39,7 @@ _ROUNDING = 4 * math.ulp(1.0)
 # log lam (phi(s)/s is nondecreasing), so a probe this far past a secant
 # point that lands on the norm has the modular on the other side of 1
 _NEAR = 2.0**-40
-# the coarsest and the finest grid conjugate takes: its arrays hold
-# 2 * grid_size + 1 floats, and grid 65,536 takes seconds
+# the coarsest and the finest grid conjugate takes: its arrays hold 2 * grid_size + 1 floats
 MIN_GRID_SIZE = 64
 MAX_GRID_SIZE = 65_536
 
@@ -203,53 +196,55 @@ class LuxemburgResult:
     modular_at_value: float
 
 
-def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray, slopes: np.ndarray):
-    """Per t, the index and value of the maximum of ``t*s_k - phi_s[k]`` over the grid.
+def _grid_maximum(t_grid: np.ndarray, s_grid: np.ndarray, phi_s: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Per t, the index of the maximum of ``t*s_k - phi_s[k]`` over the knots ``s_grid``.
 
     The row rises up to the knot where the running maximum of the sample
     ``slopes`` first reaches t, and falls from the knot where their running
-    minimum from the right passes t; the grid maximiser lies between the
-    two, each found by one ``searchsorted`` of t.  On convex samples they
-    are one knot (Lucet's linear-time Legendre transform).  Each row is
-    evaluated as t*s_grid - phi_s over that knot +-2 grid points, widened
-    to every knot between the two or whose slope lies within rounding of t,
+    minimum from the right passes t; the maximiser lies between the two,
+    each found by one ``searchsorted`` of t.  On convex samples they are
+    one knot (Lucet's linear-time Legendre transform).  Each row is
+    evaluated as t*s_grid - phi_s over that knot +-2 knots, widened to
+    every knot between the two or whose slope lies within rounding of t,
     so float ties (collinear runs) settle on the first index, as an argmax
     over every s_k would.
     """
-    grid_size, s_max = s_grid.size - 1, s_grid[-1]
+    last_knot, s_max = s_grid.size - 1, s_grid[-1]
     # slope band: t*s - phi rounds at about eps * (|phi| + |t| s_max), so a
-    # slope nearer t than that over one grid step can hide a float tie
-    tie = 1e-12 * (np.max(np.abs(phi_s)) + np.max(np.abs(t_grid)) * s_max) * grid_size / s_max
+    # slope nearer t than that over the shortest step can hide a float tie
+    tie = 1e-12 * (np.max(np.abs(phi_s)) + np.max(np.abs(t_grid)) * s_max) / np.min(np.diff(s_grid))
     first = np.searchsorted(np.maximum.accumulate(slopes), t_grid - tie)
     last = np.searchsorted(np.minimum.accumulate(slopes[::-1])[::-1], t_grid + tie, side="right")
-    window = np.clip(first[:, None] + np.arange(-2, 3), 0, grid_size)
+    window = np.clip(first[:, None] + np.arange(-2, 3), 0, last_knot)
     near = t_grid[:, None] * s_grid[window] - phi_s[window]
-    pick = (np.arange(t_grid.size), np.argmax(near, axis=1))
-    arg = window[pick]
-    grid_best = near[pick]
+    arg = window[np.arange(t_grid.size), np.argmax(near, axis=1)]
     for i in np.flatnonzero(first != last):
-        a, b = max(first[i] - 2, 0), min(last[i] + 2, grid_size)
-        row = t_grid[i] * s_grid[a : b + 1] - phi_s[a : b + 1]
-        arg[i] = a + np.argmax(row)
-        grid_best[i] = row[arg[i] - a]
-    return arg, grid_best
+        a, b = max(first[i] - 2, 0), min(last[i] + 2, last_knot)
+        arg[i] = a + np.argmax(t_grid[i] * s_grid[a : b + 1] - phi_s[a : b + 1])
+    return arg
 
 
-def _conjugate_values(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, grid_size: int, tol: float):
-    s_grid = np.linspace(0.0, s_max, grid_size + 1)
-    phi_s = np.asarray(phi(s_grid))
-    # a call of its own, so that its slope and (t, window) blocks are freed before the search
-    arg, grid_best = _grid_maximum(t_grid, s_grid, phi_s, _check_convex(s_grid, phi_s, tol))
+def _maximisers(phi: OrliczFunction, t_grid: np.ndarray, s_max: float, tol: float):
+    """Per t, a maximiser s* of ``t*s - phi(s)`` on [0, s_max], and phi(s*), exactly by kind.
 
-    def objective(rows, s_vals: np.ndarray) -> np.ndarray:
-        return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
-
-    # the search starts from the grid maximum and never falls below it
-    lo, hi = np.zeros(t_grid.size), np.full(t_grid.size, s_max)
-    _, refined = section_max(objective, lo, hi, s_grid[arg], grid_best, hi / grid_size)
-    values = np.maximum(refined, 0.0)
-    values[0] = 0.0  # sup_s(-phi(s)) is attained at s = 0
-    return values
+    For sampled phi, linear between its knots, s* is the best of its knots
+    below s_max and s_max itself, which takes the slope of its segment: its
+    rounded value, a short step past a knot, can bend far more.
+    """
+    if phi.kind == "sampled":
+        below = np.searchsorted(phi.grid_s, s_max)
+        slopes = _check_convex(phi.grid_s[: below + 1], phi.grid_y[: below + 1], tol)
+        s = np.append(phi.grid_s[:below], s_max)
+        y = np.asarray(phi(s))
+        arg = _grid_maximum(t_grid, s, y, np.append(slopes, slopes[-1])[:below])
+        return s[arg], y[arg]
+    if phi.kind == "power":
+        # phi'(s*) = t; for p = 1 the slope is c, which t stays below
+        s = np.zeros_like(t_grid) if phi.p == 1 else (t_grid / (phi.scale * phi.p)) ** (1 / (phi.p - 1))
+    else:  # exp: phi'(s*) = t, and s* = 0 where t is at most phi'(0) = a
+        s = np.log(np.maximum(t_grid / phi.rate, 1.0)) / phi.rate
+    s = np.minimum(s, s_max)  # s* >= 0 by construction
+    return s, np.asarray(phi(s))
 
 
 def conjugate(
@@ -262,17 +257,17 @@ def conjugate(
 
     The supremum over all s >= 0 is truncated at ``s_max``; the returned
     sampled function is therefore trusted only for t up to roughly the
-    slope of phi at ``s_max`` (recorded as its domain cap).  One pass on
-    2 * grid_size + 1 knots of t and of s, where phi is sampled once: each
-    value is the grid maximum, read off by ``searchsorted`` of t into the
-    running extremes of the sample slopes, then refined by a section search
-    that stops once concavity certifies the value.  That needs phi convex
-    on the s grid: ``tol`` bounds how far its samples may bend, as the drop
-    of each slope below the steepest before it, times the grid step, of at
-    most ``tol * max(1, |phi|)`` plus a rounding allowance.  Refusals:
-    GridTooCoarse when [0, t_max] cannot hold the knots strictly increasing
-    (t_max <= 0 included) or psi is 0 on all of it (phi near linear up to
-    ``s_max``), and ValueError naming the first s where phi is not convex.
+    slope of phi at ``s_max`` (recorded as its domain cap).  Each of its
+    2 * grid_size + 1 knots is ``t*s* - phi(s*)`` at an exact maximiser s*:
+    the inverse of phi' for power and exp phi (their Young pairs), and for
+    sampled phi a knot, which needs its knots convex up to s_max: ``tol``
+    bounds the drop of each slope below the steepest before it, times the
+    step, at ``tol * max(1, |phi|)`` plus a rounding allowance (power and
+    exp are convex, and ``tol`` checks nothing for them).
+    Refusals: GridTooCoarse when [0, t_max] cannot hold the knots strictly
+    increasing (t_max <= 0 included) or psi is 0 on all of it (phi near
+    linear up to ``s_max``), and ValueError naming the first knot where a
+    sampled phi is not convex.
     """
     if not s_max > 0:
         raise ValueError("s_max must be > 0")
@@ -287,7 +282,8 @@ def conjugate(
     t_grid = np.linspace(0.0, t_max, 2 * grid_size + 1)
     if not np.all(np.diff(t_grid) > 0.0):
         raise GridTooCoarse(f"conjugate range [0, t_max={t_max:.6g}] is too narrow for grid_size={grid_size}")
-    values = _conjugate_values(phi, t_grid, s_max, 2 * grid_size, tol)
+    s, phi_s = _maximisers(phi, t_grid, s_max, tol)
+    values = np.maximum(t_grid * s - phi_s, 0.0)
     if np.max(values) <= 0.0:  # t_max is at most the slope of phi at 0
         raise GridTooCoarse(
             f"conjugate is 0 on its whole range [0, {t_max:.6g}]: phi is near linear up to s_max={s_max:g}"

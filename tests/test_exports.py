@@ -41,6 +41,8 @@ DELETED = {
         "GrowthReport",
         "young_gap",
         "_lower_hull",
+        "_conjugate_values",
+        "section_max",
     ),
 }
 

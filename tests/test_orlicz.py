@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from uodual import orlicz
-from uodual.convex import section_max
 from uodual.measure import ProbabilitySpace, RandomVariable, integrate, pairing
 from uodual.orlicz import (
     DomainExceeded,
@@ -59,32 +58,25 @@ def brute_conjugate(phi, t, s_max, n=1_000_000):
     return float(np.max(s * t - np.asarray(phi(s))))
 
 
-def _dense_conjugate_values(phi, t_grid, s_max, grid_size, tol):
-    """Reference for ``orlicz._conjugate_values``: the dense (t x s) sweep.
+def young(phi, t):
+    """The Young conjugate of a power or exp phi at t >= 0, in closed form."""
+    if phi.kind == "power":
+        p, c = phi.p, phi.scale
+        return (p - 1.0) * c * (t / (c * p)) ** (p / (p - 1.0))
+    r = np.maximum(t / phi.rate, 1.0)
+    return r * np.log(r) - r + 1.0
 
-    Every row is read at every grid point, in chunks that bound memory; the
-    convexity check and the refinement after the grid maximum are the
-    program's.
+
+def knot_maximum(phi, t_grid, s_max):
+    """Reference for a sampled phi: per t, the first maximiser and the maximum of ``t*c_k - phi(c_k)``.
+
+    The c_k are phi's knots below s_max and s_max itself, and every row is
+    read at every one of them.
     """
-    s_grid = np.linspace(0.0, s_max, grid_size + 1)
-    phi_s = np.asarray(phi(s_grid))
-    orlicz._check_convex(s_grid, phi_s, tol)
-    arg = np.empty(t_grid.size, dtype=np.intp)
-    grid_best = np.empty(t_grid.size)
-    chunk = max(1, 8_000_000 // (grid_size + 1))
-    for i in range(0, t_grid.size, chunk):
-        rows = t_grid[i : i + chunk, None] * s_grid[None, :] - phi_s[None, :]
-        arg[i : i + chunk] = np.argmax(rows, axis=1)
-        grid_best[i : i + chunk] = np.max(rows, axis=1)
-
-    def objective(rows, s_vals):
-        return t_grid[rows, None] * s_vals - np.asarray(phi(s_vals))
-
-    lo, hi = np.zeros(t_grid.size), np.full(t_grid.size, s_max)
-    _, refined = section_max(objective, lo, hi, s_grid[arg], grid_best, hi / grid_size)
-    values = np.maximum(refined, 0.0)
-    values[0] = 0.0
-    return values
+    c = np.append(phi.grid_s[phi.grid_s < s_max], s_max)
+    rows = t_grid[:, None] * c - np.asarray(phi(c))
+    arg = np.argmax(rows, axis=1)
+    return c[arg], rows[np.arange(t_grid.size), arg]
 
 
 class TestOrliczFunction:
@@ -240,13 +232,13 @@ class TestConjugate:
         ],
         ids=["p1.5", "p2", "p3", "exp"],
     )
-    def test_matches_dense_sweep_bit_for_bit(self, monkeypatch, phi, s_max, grid):
+    def test_matches_dense_sweep_bit_for_bit(self, phi, s_max, grid):
+        # power and exp knots are read at the inverse of phi', so they meet
+        # the Young closed form up to rounding
         psi = conjugate(phi, s_max, grid)
-        monkeypatch.setattr(orlicz, "_conjugate_values", _dense_conjugate_values)
-        ref = conjugate(phi, s_max, grid)
-        assert np.array(psi.grid_s).tobytes() == np.array(ref.grid_s).tobytes()
-        assert np.array(psi.grid_y).tobytes() == np.array(ref.grid_y).tobytes()
-        assert psi.domain_cap == ref.domain_cap
+        ref = young(phi, psi.grid_s)
+        assert np.all(np.abs(psi.grid_y - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+        assert psi.grid_y[0] == 0.0 and psi.grid_s.size == 2 * grid + 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -254,73 +246,91 @@ class TestConjugate:
             st.tuples(st.floats(0.05, 3.0), st.integers(-8, 8)), min_size=1, max_size=10
         ),
         s_max=st.floats(0.5, 25.0),
-        grid_size=st.integers(64, 400),
         t_range=st.tuples(st.floats(-4.0, 0.0), st.floats(0.0, 8.0)),
         t_count=st.integers(1, 300),
     )
-    def test_convex_grid_maximum_matches_dense_sweep(self, knots, s_max, grid_size, t_range, t_count):
-        # validation bypassed: the samples are convex but may fall, and
+    def test_convex_grid_maximum_matches_dense_sweep(self, knots, s_max, t_range, t_count):
+        # validation bypassed: the knots are convex but may fall, and
         # slopes drawn from few values give collinear runs that t meets
         s = np.concatenate([[0.0], np.cumsum([dx for dx, _ in knots])])
         slopes = np.sort([k for _, k in knots]) / 2.0
         phi = unchecked(s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))]))
         t_grid = np.sort(np.concatenate([np.linspace(*t_range, t_count), slopes]))
-        got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
-        want = _dense_conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
-        assert got.tobytes() == want.tobytes()
+        got_s, got_y = orlicz._maximisers(phi, t_grid, s_max, orlicz._CONVEXITY_TOL)
+        want_s, want = knot_maximum(phi, t_grid, s_max)
+        assert got_s.tobytes() == want_s.tobytes()
+        assert (t_grid * got_s - got_y).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
-        knots=st.lists(st.tuples(st.floats(0.05, 3.0), st.integers(-8, 8)), min_size=1, max_size=10),
-        grid_size=st.integers(64, 400),
+        runs=st.lists(
+            st.tuples(st.integers(1, 40), st.sampled_from([-30, 0]), st.integers(-8, 8)), min_size=1, max_size=10
+        ),
         t_range=st.tuples(st.floats(-4.0, 0.0), st.floats(0.0, 8.0)),
+        nudge=st.floats(1e-9, 1e-6),
     )
-    def test_nonconvex_grid_maximum_matches_dense_sweep(self, knots, grid_size, t_range):
-        # the samples need not be convex or monotone: the maximiser lies
-        # between where the slopes' running maximum and their running
-        # minimum from the right cross t, however far apart the two are
-        s = np.concatenate([[0.0], np.cumsum([dx for dx, _ in knots])])
-        s_grid = np.linspace(0.0, s[-1], grid_size + 1)
-        phi_s = np.interp(s_grid, s, [0.0] + [v / 2.0 for _, v in knots])
-        t_grid = np.linspace(*t_range, 200)
-        arg, best = orlicz._grid_maximum(t_grid, s_grid, phi_s, np.diff(phi_s) / np.diff(s_grid))
-        rows = t_grid[:, None] * s_grid - phi_s
-        assert arg.tobytes() == np.argmax(rows, axis=1).tobytes()
-        assert best.tobytes() == np.max(rows, axis=1).tobytes()
+    def test_nonconvex_grid_maximum_matches_dense_sweep(self, runs, t_range, nudge):
+        # the knots need not be convex, monotone or evenly spaced: the
+        # maximiser lies between where the slopes' running maximum and their
+        # running minimum from the right cross t, however far apart the two
+        # are.  Each run is n steps of 2**e (1 or 2**-30) on which phi has slope v/2, so
+        # knots and slopes are exact; a t nudged off a slope ties the knots
+        # of a run of short steps in float, within the band of the shortest step
+        counts = [n for n, _, _ in runs]
+        steps = np.repeat([2.0**e for _, e, _ in runs], counts)
+        slopes = np.repeat([v / 2.0 for *_, v in runs], counts)
+        s_grid = np.concatenate([[0.0], np.cumsum(steps)])
+        phi_s = np.concatenate([[0.0], np.cumsum(slopes * steps)])
+        t_grid = np.sort(np.concatenate([np.linspace(*t_range, 200), slopes - nudge, slopes + nudge]))
+        arg = orlicz._grid_maximum(t_grid, s_grid, phi_s, np.diff(phi_s) / np.diff(s_grid))
+        assert arg.tobytes() == np.argmax(t_grid[:, None] * s_grid - phi_s, axis=1).tobytes()
 
-    def test_slow_bend_within_tol_is_searched_to_the_dense_bits(self, monkeypatch):
-        # at the default tol these samples pass the convexity check, yet for
+    def test_slow_bend_within_tol_is_searched_to_the_dense_bits(self):
+        # at the default tol these knots pass the convexity check, yet for
         # t just below 1 the slopes' running maximum first reaches t at s=0
         phi = unchecked(*slow_bend())
         psi = conjugate(phi, 1000.0, 2000)
-        monkeypatch.setattr(orlicz, "_conjugate_values", _dense_conjugate_values)
-        ref = conjugate(phi, 1000.0, 2000)
-        assert psi.grid_y.tobytes() == ref.grid_y.tobytes()
+        assert psi.grid_y.tobytes() == knot_maximum(phi, psi.grid_s, 1000.0)[1].tobytes()
         near = np.flatnonzero((psi.grid_s > 0.999) & (psi.grid_s <= 1.0))
         assert near.size and psi.grid_y[near[0]] > 0.02  # a search from s=0 reads about 0
         assert abs(psi.grid_y[near[0]] - brute_conjugate(phi, psi.grid_s[near[0]], 1000.0)) <= 1e-5
 
+    _KNOTS = 6.2 * np.linspace(0.0, 1.0, 1001) ** 1.5
+
+    @pytest.mark.parametrize(
+        "s_max", [2.6, 9.5, float(np.nextafter(_KNOTS[130], 7.0))], ids=["between-knots", "past-last-knot", "ulp-past"]
+    )
+    def test_sampled_conjugate_is_the_knot_maximum(self, s_max):
+        # t*s - phi(s) is linear between knots, so its sup on [0, s_max] lies
+        # on a knot below s_max or at s_max, even off the knots and past them;
+        # one float past a knot, the rounded phi(s_max) bent away from convex
+        phi = OrliczFunction.sampled(self._KNOTS, self._KNOTS**2.5 / 3.0)
+        psi = conjugate(phi, s_max, 256)
+        assert psi.grid_y.tobytes() == knot_maximum(phi, psi.grid_s, s_max)[1].tobytes()
+        assert abs(psi(psi.domain_cap) - brute_conjugate(phi, psi.domain_cap, s_max)) <= 1e-5
+
     def test_search_refuses_nonconvex_samples(self):
-        # the grid maximum reads the sample slopes, so the samples must be convex
+        # the knot maximum reads the knots' slopes, so the knots must be convex
         phi = unchecked((0, 1, 1.5, 2, 3), (0, 1, 0.5, 2, 6))
-        with pytest.raises(ValueError, match="convexity on the grid at s="):
-            orlicz._conjugate_values(phi, np.linspace(-1.0, 5.0, 50), 3.0, 128, orlicz._CONVEXITY_TOL)
+        with pytest.raises(ValueError, match="convexity on the grid at s=1$"):
+            orlicz._maximisers(phi, np.linspace(-1.0, 5.0, 50), 3.0, orlicz._CONVEXITY_TOL)
 
     def test_collinear_ties_settle_on_the_first_index(self):
-        # t equal to the slope of a linear piece ties every grid point of
-        # that piece up to rounding; the dense argmax picks the first of
-        # the float maxima, which can lie far from either end of the piece
+        # t equal to the slope of a linear piece ties every knot of that
+        # piece up to rounding; the dense argmax picks the first of the
+        # float maxima, which can lie far from either end of the piece
         rng = np.random.default_rng(11)
         for _ in range(60):
             s = np.unique(np.concatenate([[0.0], rng.integers(1, 20, 4).astype(float)]))
             slopes = np.sort(rng.integers(0, 6, s.size - 1)).astype(float) / rng.choice([1, 3, 4])
-            phi = unchecked(s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))]))
+            fine = np.unique(np.concatenate([s, rng.uniform(0.0, s[-1], int(rng.integers(64, 600)))]))
+            phi = unchecked(fine, np.interp(fine, s, np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))])))
             t_grid = np.unique(np.concatenate([slopes, slopes + 1e-15, np.linspace(0.0, slopes[-1] + 1, 40)]))
-            grid_size = int(rng.integers(64, 600))
-            s_max = float(s[-1] + rng.uniform(0.0, 3.0))
-            got = orlicz._conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
-            want = _dense_conjugate_values(phi, t_grid, s_max, grid_size, orlicz._CONVEXITY_TOL)
-            assert got.tobytes() == want.tobytes()
+            s_max = float(s[-1] + rng.uniform(-3.0, 3.0))
+            got_s, got_y = orlicz._maximisers(phi, t_grid, s_max, orlicz._CONVEXITY_TOL)
+            want_s, want = knot_maximum(phi, t_grid, s_max)
+            assert got_s.tobytes() == want_s.tobytes()
+            assert (t_grid * got_s - got_y).tobytes() == want.tobytes()
 
     def test_memory_is_linear_in_the_grid(self):
         # the dense sweep peaked at 184 MB here (its chunk buffer)
@@ -384,23 +394,20 @@ class TestConjugate:
         assert psi.domain_cap == ref.domain_cap
 
     def test_searches_once(self, monkeypatch):
-        search, evaluate = orlicz._conjugate_values, OrliczFunction.__call__
-        grids, shapes = [], []
-
-        def counted(phi, t_grid, s_max, grid_size, tol):
-            grids.append(grid_size)
-            return search(phi, t_grid, s_max, grid_size, tol)
+        evaluate, shapes = OrliczFunction.__call__, []
 
         def recorded(phi, s):
             shapes.append(np.shape(s))
             return evaluate(phi, s)
 
-        monkeypatch.setattr(orlicz, "_conjugate_values", counted)
+        sampled = conjugate(OrliczFunction.power(2.0), 8.0, 64)
         monkeypatch.setattr(OrliczFunction, "__call__", recorded)
-        psi = conjugate(OrliczFunction.power(2.0), 8.0, 256)
-        assert grids == [512] and psi.grid_s.size == 513
-        # phi is sampled once on the s grid, for the convexity check and the search alike
-        assert shapes.count((513,)) == 1
+        for phi in (OrliczFunction.power(2.0), OrliczFunction.exponential(0.5), sampled):
+            shapes.clear()
+            psi = conjugate(phi, 8.0, 256)
+            assert psi.grid_s.size == 513
+            # two scalars for the slope at s_max, and one array: phi at s* or at the knots
+            assert [len(shape) for shape in shapes] == [0, 0, 1], phi.describe()
 
     @pytest.mark.parametrize("phi, s_max", [(OrliczFunction.power(1), 16.0), (OrliczFunction.exponential(0.5), 0.1)])
     def test_conjugate_zero_on_its_range_raises_grid_too_coarse(self, phi, s_max):
